@@ -18,7 +18,7 @@ from . import constructions as _con
 from . import decompose as _dec
 from . import repro as _repro
 from . import star as _star
-from .crossings import compute_crossings, crossings_of, find_k_fans
+from .crossings import compute_crossings, crossings_of, find_k_fans, integer_points
 from .model import (
     AbstractDrawing,
     Graph,
@@ -208,6 +208,7 @@ def render_svg(d: StraightLineDrawing, size: int = 800, margin: int = 20) -> str
     marker per crossing of the exact relation.  Floats appear only here,
     after every decision has been made exactly."""
     rel = compute_crossings(d)
+    pts = integer_points(d)
     xs = [x for x, _y in d.coords]
     ys = [y for _x, y in d.coords]
     lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
@@ -231,13 +232,11 @@ def render_svg(d: StraightLineDrawing, size: int = 800, margin: int = 20) -> str
             f'stroke="#365f91" stroke-width="1.2"/>'
         )
     for i, j in sorted(rel.pairs):
-        p = _segment_intersection(d, i, j)
-        if p is not None:
-            x, y = px(p)
-            parts.append(
-                f'<rect x="{x - 2.5:.2f}" y="{y - 2.5:.2f}" width="5" height="5" '
-                f'fill="none" stroke="#c0504d"/>'
-            )
+        x, y = px(_segment_intersection(d, pts, i, j))
+        parts.append(
+            f'<rect x="{x - 2.5:.2f}" y="{y - 2.5:.2f}" width="5" height="5" '
+            f'fill="none" stroke="#c0504d"/>'
+        )
     for v, p in enumerate(d.coords):
         x, y = px(p)
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#222222"/>')
@@ -245,13 +244,10 @@ def render_svg(d: StraightLineDrawing, size: int = 800, margin: int = 20) -> str
     return "\n".join(parts) + "\n"
 
 
-def _segment_intersection(d: StraightLineDrawing, i: int, j: int):
-    from .crossings import homogenize
-    from .decompose import intersection_param
-
-    pts = homogenize(d)
+def _segment_intersection(d: StraightLineDrawing, pts, i: int, j: int):
+    """Crossing point of edges i and j; ``pts`` are the drawing's integer points."""
     (u1, v1), (u2, v2) = d.graph.edges[i], d.graph.edges[j]
-    t = intersection_param(pts[u1], pts[v1], pts[u2], pts[v2])
+    t = _dec.intersection_param(pts[u1], pts[v1], pts[u2], pts[v2])
     (x1, y1), (x2, y2) = d.coords[u1], d.coords[v1]
     return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
 
@@ -360,7 +356,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         return args.fn(args)
-    except (_con.ConstructionError, _dec.FalsificationError) as exc:
+    except _con.ConstructionError as exc:
         print(f"FALSIFICATION: {exc}", file=sys.stderr)
         return EXIT_WITNESS
     except (ValueError, OSError) as exc:

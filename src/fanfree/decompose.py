@@ -9,6 +9,7 @@ degenerate to zero-length chains).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,22 +22,10 @@ from .model import (
 from .crossings import (
     compute_crossings,
     find_k_fans,
-    homogenize,
+    integer_points,
     orient,
     validate_simplicity,
 )
-
-
-class FalsificationError(AssertionError):
-    """A machine-verified fan-free input violated a proven bound.
-
-    This cannot happen unless the underlying mathematics is wrong, so it is
-    treated as a critical defect and the offending input is preserved.
-    """
-
-    def __init__(self, message: str, payload: dict):
-        super().__init__(message)
-        self.payload = payload
 
 
 def maximal_plane_subgraph(
@@ -44,69 +33,58 @@ def maximal_plane_subgraph(
 ) -> tuple[list[int], list[int]]:
     """Greedy crossing-free edge set H (ascending edge index) and the
     excluded set K.  H is maximal: every excluded edge crosses some H edge."""
+    in_h = [False] * len(g.edges)
     chosen: list[int] = []
-    chosen_set: set[int] = set()
     excluded: list[int] = []
     for i in range(len(g.edges)):
-        if any(c.crosses(i, j) for j in chosen):
+        if any(in_h[j] for j in c.adjacency.get(i, ())):
             excluded.append(i)
         else:
             chosen.append(i)
-            chosen_set.add(i)
+            in_h[i] = True
     return chosen, excluded
 
 
-def _direction_cmp_key(pts):
+def _half(d) -> int:
+    dx, dy = d
+    return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+
+
+def _direction_cmp(d1, d2) -> int:
     """Comparator for ccw angular order of direction vectors around a vertex."""
-
-    def half(d):
-        dx, dy = d
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cmp(d1, d2):
-        h1, h2 = half(d1), half(d2)
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        cr = d1[0] * d2[1] - d1[1] * d2[0]
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
-
-    return cmp
+    h1, h2 = _half(d1), _half(d2)
+    if h1 != h2:
+        return -1 if h1 < h2 else 1
+    cr = d1[0] * d2[1] - d1[1] * d2[0]
+    return -1 if cr > 0 else (1 if cr < 0 else 0)
 
 
-def _sorted_rotation(d: StraightLineDrawing, h_edges: list[int]):
-    """For each vertex the ccw-sorted list of (neighbor, edge index)."""
-    import functools
+_DIRECTION_KEY = functools.cmp_to_key(_direction_cmp)
 
-    g = d.graph
+
+def _sorted_rotation(pts, g: Graph, h_edges: list[int]):
+    """For each vertex the ccw-sorted list of (neighbor, edge index) of H,
+    on the drawing's integer points."""
     rot: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for i in h_edges:
         u, v = g.edges[i]
         rot[u].append((v, i))
         rot[v].append((u, i))
-    cmp = _direction_cmp_key(None)
-    for v in range(g.n):
-        px, py = d.coords[v]
-
-        def dart_cmp(a, b, px=px, py=py):
-            ax, ay = d.coords[a[0]]
-            bx, by = d.coords[b[0]]
-            return cmp((ax - px, ay - py), (bx - px, by - py))
-
-        rot[v].sort(key=functools.cmp_to_key(dart_cmp))
+    for v, darts in enumerate(rot):
+        px, py = pts[v]
+        darts.sort(key=lambda dart: _DIRECTION_KEY(
+            (pts[dart[0]][0] - px, pts[dart[0]][1] - py)))
     return rot
 
 
 @dataclass(frozen=True)
 class Walk:
-    """One closed boundary walk, as a tuple of darts (u, v); doubled area
-    is positive exactly for the ccw outer walk of a bounded face."""
+    """One closed boundary walk, as a tuple of darts (u, v).  ``area2`` is
+    its doubled signed area on the drawing's integer points: positive
+    exactly for the ccw outer walk of a bounded face."""
 
     darts: tuple[tuple[int, int], ...]
-    area2: Fraction
+    area2: int
 
     @property
     def rep_vertex(self) -> int:
@@ -129,18 +107,25 @@ class FaceSet:
     faces: tuple[Face, ...]
     dart_face: dict
     vertex_face: dict  # isolated vertex -> face id
+    rotation: list  # vertex -> ccw-sorted (neighbor, edge index) of H
 
 
-def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
+def trace_faces(
+    d: StraightLineDrawing, h_edges: list[int], c: CrossingRelation | None = None
+) -> FaceSet:
     """Faces of the plane subgraph: rotation-system walks grouped into
-    faces by exact containment.  Fails loudly if H is not crossing-free."""
+    faces by exact containment.  The drawing must be simple (``audit``
+    validates it first); ``c`` is its crossing relation, computed here when
+    not given.  Fails loudly if a pair of ``c`` has both edges in H."""
     g = d.graph
-    sub = Graph(g.n, tuple(g.edges[i] for i in h_edges))
-    sub_drawing = StraightLineDrawing(sub, d.coords)
-    if compute_crossings(sub_drawing).pairs:
+    if c is None:
+        c = compute_crossings(d)
+    in_h = set(h_edges)
+    if any(i in in_h and j in in_h for i, j in c.pairs):
         raise ValueError("trace_faces requires a crossing-free edge set")
 
-    rot = _sorted_rotation(d, h_edges)
+    pts = integer_points(d)
+    rot = _sorted_rotation(pts, g, h_edges)
     rot_pos = [
         {nbr: k for k, (nbr, _e) in enumerate(r)} for r in rot
     ]
@@ -161,9 +146,9 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
                 pos = rot_pos[cv][cu]
                 nxt = rot[cv][(pos - 1) % len(rot[cv])][0]
                 cu, cv = cv, nxt
-            area2 = Fraction(0)
+            area2 = 0
             for a, b in darts:
-                (xa, ya), (xb, yb) = d.coords[a], d.coords[b]
+                (xa, ya), (xb, yb) = pts[a], pts[b]
                 area2 += xa * yb - xb * ya
             walks.append(Walk(tuple(darts), area2))
 
@@ -177,20 +162,17 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
     hole_walks = [w for w in walks if w.area2 <= 0]
     outer_comp = [comp[w.rep_vertex] for w in outer_walks]
 
-    pts = homogenize(d)
-
     def contains(walk: Walk, v: int) -> bool:
         # upward-ray crossing parity, half-open in x so vertices never double
-        p = d.coords[v]
-        ph = pts[v]
+        p = pts[v]
         cnt = 0
         for a, b in walk.darts:
-            xa, xb = d.coords[a][0], d.coords[b][0]
+            xa, xb = pts[a][0], pts[b][0]
             if xa <= p[0] < xb:
-                if orient(pts[a], pts[b], ph) < 0:
+                if orient(pts[a], pts[b], p) < 0:
                     cnt += 1
             elif xb <= p[0] < xa:
-                if orient(pts[a], pts[b], ph) > 0:
+                if orient(pts[a], pts[b], p) > 0:
                     cnt += 1
         return cnt % 2 == 1
 
@@ -243,7 +225,7 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
             dart_face[dart] = fid
     for v in iso:
         vertex_face[v] = fid
-    return FaceSet(tuple(faces), dart_face, vertex_face)
+    return FaceSet(tuple(faces), dart_face, vertex_face, rot)
 
 
 def _component_ids(g: Graph, h_edges: list[int]) -> list[int]:
@@ -282,30 +264,22 @@ class ArrowRecord:
 
 def intersection_param(u, w, p, q) -> Fraction:
     """Exact parameter t of the crossing point along segment u -> w with the
-    line through p, q (homogeneous integer points, positive weights)."""
-    ux, uy, uw = u
-    wx, wy, ww = w
-    px, py, pw = p
-    qx, qy, qw = q
-    ex = qx * pw - px * qw
-    ey = qy * pw - py * qw
-    num = (px * uw - ux * pw) * ey - (py * uw - uy * pw) * ex
-    den = (wx * uw - ux * ww) * ey - (wy * uw - uy * ww) * ex
-    # t = ((p-u) x (q-p)) / ((w-u) x (q-p)), weights cleared
-    return Fraction(num * ww, den * pw)
+    line through p, q (integer points)."""
+    ex, ey = q[0] - p[0], q[1] - p[1]
+    # t = ((p-u) x (q-p)) / ((w-u) x (q-p))
+    num = (p[0] - u[0]) * ey - (p[1] - u[1]) * ex
+    den = (w[0] - u[0]) * ey - (w[1] - u[1]) * ex
+    return Fraction(num, den)
 
 
-def _first_hit(d, pts, u, w, h_edges, c: CrossingRelation, k_edge: int):
-    best = None
+def _first_hit(pts, edges, u, w, hits: list[int]) -> tuple[Fraction, int]:
+    """Parameter and index of the first of the H edges ``hits`` met going
+    from u to w; the lowest index wins a tie."""
     a, b = pts[u], pts[w]
-    for h in h_edges:
-        if not c.crosses(k_edge, h):
-            continue
-        p, q = pts[d.graph.edges[h][0]], pts[d.graph.edges[h][1]]
-        t = intersection_param(a, b, p, q)
-        if best is None or t < best[0]:
-            best = (t, h)
-    return best
+    return min(
+        (intersection_param(a, b, pts[edges[h][0]], pts[edges[h][1]]), h)
+        for h in hits
+    )
 
 
 def arrowize(
@@ -316,58 +290,54 @@ def arrowize(
     c: CrossingRelation,
 ) -> list[ArrowRecord]:
     """Two arrows per excluded edge, each assigned to the face of H that
-    contains the initial segment at its endpoint."""
-    import functools
-
+    contains the initial segment at its endpoint.  ``c`` is the drawing's
+    crossing relation."""
     g = d.graph
-    pts = homogenize(d)
-    rot = _sorted_rotation(d, h_edges)
-    cmp = _direction_cmp_key(None)
+    pts = integer_points(d)
+    in_h = set(h_edges)
     records = []
     for ke in k_edges:
         u, w = g.edges[ke]
+        hits = [h for h in c.adjacency.get(ke, ()) if h in in_h]
+        if not hits:
+            raise ValueError(f"excluded edge {ke} crosses no H edge: H is not maximal")
         for s, t_ in ((u, w), (w, u)):
-            hit = _first_hit(d, pts, s, t_, h_edges, c, ke)
-            if hit is None:
-                raise ValueError(
-                    f"excluded edge {ke} crosses no H edge: H is not maximal"
-                )
-            tpar, hedge = hit
-            face = _wedge_face(d, faceset, rot, cmp, s, t_)
+            tpar, hedge = _first_hit(pts, g.edges, s, t_, hits)
+            face = _wedge_face(pts, faceset, s, t_)
             records.append(ArrowRecord(ke, s, face, hedge, tpar))
     return records
 
 
-def _wedge_face(d, faceset, rot, cmp, s, towards):
+def _wedge_face(pts, faceset: FaceSet, s, towards):
     """Face of H containing the ray from vertex s toward ``towards``."""
-    darts = rot[s]
+    darts = faceset.rotation[s]
     if not darts:
         return faceset.vertex_face[s]
-    px, py = d.coords[s]
-    tx, ty = d.coords[towards]
+    px, py = pts[s]
+    tx, ty = pts[towards]
     dvec = (tx - px, ty - py)
     # predecessor dart of dvec in ccw order; the wedge it opens belongs to
     # the face left of that dart
     best = None
     for nbr, _e in darts:
-        nx, ny = d.coords[nbr]
+        nx, ny = pts[nbr]
         nvec = (nx - px, ny - py)
         if best is None:
             best = nbr
             continue
-        bx, by = d.coords[best]
+        bx, by = pts[best]
         bvec = (bx - px, by - py)
         # is nvec a later predecessor than bvec, i.e. bvec < nvec <= dvec cyclically?
-        if _cyclic_le(cmp, bvec, nvec, dvec):
+        if _cyclic_le(bvec, nvec, dvec):
             best = nbr
     return faceset.dart_face[(s, best)]
 
 
-def _cyclic_le(cmp, lo, mid, hi) -> bool:
+def _cyclic_le(lo, mid, hi) -> bool:
     """mid in the half-open ccw arc (lo, hi]."""
-    a = cmp(lo, mid)
-    b = cmp(mid, hi)
-    c = cmp(lo, hi)
+    a = _direction_cmp(lo, mid)
+    b = _direction_cmp(mid, hi)
+    c = _direction_cmp(lo, hi)
     if c < 0:
         return a < 0 and b <= 0
     return a < 0 or b <= 0
@@ -434,7 +404,7 @@ def audit(d: StraightLineDrawing, k: int = 2) -> DecompositionReport:
             f"drawing is not {k}-fan-crossing free (witness: {fans[0]})"
         )
     h_edges, k_edges = maximal_plane_subgraph(g, c)
-    faceset = trace_faces(d, h_edges)
+    faceset = trace_faces(d, h_edges, c)
     arrows = arrowize(d, h_edges, k_edges, faceset, c)
 
     falsifications: list[str] = []

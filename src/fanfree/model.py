@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 SCHEMA_VERSION = 1
@@ -80,11 +81,24 @@ class CrossingRelation:
     def crosses(self, i: int, j: int) -> bool:
         return ((i, j) if i <= j else (j, i)) in self.pairs
 
+    @cached_property
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """``crossing_lists`` of the pairs, built on first use and kept."""
+        return crossing_lists(self.pairs)
+
     def crossed_by(self, i: int) -> list[int]:
         """Sorted edge indices crossing edge i."""
-        out = [b if a == i else a for a, b in self.pairs if i in (a, b)]
-        out.sort()
-        return out
+        return list(self.adjacency.get(i, ()))
+
+
+def crossing_lists(pairs) -> dict[int, tuple[int, ...]]:
+    """Edge index -> ascending indices of the edges crossing it, for every
+    edge in some pair."""
+    adj: dict[int, list[int]] = {}
+    for i, j in pairs:
+        adj.setdefault(i, []).append(j)
+        adj.setdefault(j, []).append(i)
+    return {e: tuple(sorted(crossed)) for e, crossed in adj.items()}
 
 
 def validate_crossings(g: Graph, c: CrossingRelation) -> str | None:

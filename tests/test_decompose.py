@@ -172,3 +172,26 @@ def test_euler_identity_on_extremal_family():
         d = gen_straight_extremal(n)
         rep = audit(d, 2)
         assert rep.n - len(rep.h_edges) + rep.faces == 1 + rep.components
+
+
+def test_trace_faces_with_relation_rejects_crossing_pair():
+    d = x_drawing()
+    c = compute_crossings(d)
+    with pytest.raises(ValueError):
+        trace_faces(d, [0, 1], c)
+    with_c = trace_faces(d, [0], c).faces
+    assert with_c == trace_faces(d, [0]).faces
+
+
+def test_audit_computes_the_crossing_relation_once(monkeypatch):
+    import fanfree.decompose as dec
+
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return compute_crossings(d)
+
+    monkeypatch.setattr(dec, "compute_crossings", counting)
+    assert audit(gen_straight_extremal(9), 2).ok
+    assert len(calls) == 1
