@@ -19,6 +19,7 @@ from .model import (
     Graph,
     StraightLineDrawing,
 )
+from .bounds import upper_bound
 from .crossings import (
     compute_crossings,
     find_k_fans,
@@ -383,10 +384,6 @@ def face_arrow_bound(complexity: int, chains: int, k: int) -> int:
     return 3 * (k - 1) * (complexity + 2 * chains - 4) - 2 * complexity + 3
 
 
-def global_edge_bound(n: int, k: int) -> int:
-    return 4 * n - 8 if k == 2 else 3 * (k - 1) * (n - 2)
-
-
 def audit(d: StraightLineDrawing, k: int = 2) -> DecompositionReport:
     """Full decomposition audit of a k-fan-crossing free straight-line
     drawing.  Any failed face bound, broken counting identity, or edge
@@ -435,7 +432,7 @@ def audit(d: StraightLineDrawing, k: int = 2) -> DecompositionReport:
         falsifications.append(f"sum of (p(f)-1) = {sum_p} != components-1")
     if not euler_ok:
         falsifications.append("Euler identity n - |H| + r = 1 + p failed")
-    bound = global_edge_bound(g.n, k)
+    bound = upper_bound(g.n, k)
     bound_ok = len(g.edges) <= bound
     if not bound_ok:
         falsifications.append(
@@ -468,7 +465,7 @@ def audit_abstract(d: AbstractDrawing, k: int = 2) -> dict:
     if fans:
         raise ValueError(f"drawing is not {k}-fan-crossing free (witness: {fans[0]})")
     h_edges, k_edges = maximal_plane_subgraph(g, d.crossings)
-    bound = global_edge_bound(g.n, k)
+    bound = upper_bound(g.n, k)
     return {
         "n": g.n,
         "h_edges": len(h_edges),

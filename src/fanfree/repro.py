@@ -129,11 +129,9 @@ def claim_base_cases(k=3, budget=None) -> list[Claim]:
     for h, lam, nu in _star.BASE_CASE_ROWS:
         formula = _star.base_case_formula(h, lam, nu, k)
 
-        def check(h=h, lam=lam, nu=nu, formula=formula):
-            res = _star.max_arrows(
-                h + lam + nu, k, vertex_class=(h, lam, nu), budget=budget
-            )
-            return res.maximum == formula, f"searched={res.maximum}, published={formula}"
+        def check(h=h, lam=lam, nu=nu):
+            r = _star.base_case_row(h, lam, nu, k, budget)
+            return r.match, f"searched={r.searched}, published={r.formula}"
 
         out.append(
             _claim(f"star classes: A({h},{lam},{nu}) at k={k} equals {formula}", check)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Graph, StraightLineDrawing
+from .model import AbstractDrawing, CrossingRelation, Graph, StraightLineDrawing
 from . import crossings as _cr
 
 
@@ -111,10 +111,6 @@ def arrow_length(s: StarConfig, a: int) -> int:
     return min(ccw, cw)
 
 
-def is_short(s: StarConfig, a: int) -> bool:
-    return arrow_length(s, a) == 1
-
-
 def short_arrow_witness(s: StarConfig, a: int) -> int:
     """The unique vertex on a short arrow's short side.
 
@@ -142,55 +138,42 @@ class StarFan:
     members: tuple[tuple[str, int], ...]
 
 
-def _object_sort_key(m: int, obj: tuple[str, int]) -> int:
-    kind, idx = obj
-    return idx if kind == "edge" else m + idx
+def star_drawing(s: StarConfig) -> AbstractDrawing:
+    """The star as an abstract drawing.
+
+    Boundary edge j is edge j; arrow i is edge m+i, from its start to a
+    fresh vertex m+i.  An arrow crosses its exit edge and every arrow its
+    endpoints interleave with.  Raises ValueError for a malformed star.
+    """
+    problem = validate_star(s)
+    if problem is not None:
+        raise ValueError(problem)
+    m = s.m
+    keys = _arrow_keys(s)
+    edges = [(j, (j + 1) % m) for j in range(m)]
+    pairs = set()
+    for a, (start, exit, _slot) in enumerate(s.arrows):
+        edges.append((start, m + a))
+        pairs.add((exit, m + a))
+        for b in range(a):
+            if s.arrows[b][0] != start and _interleaved(*keys[a], *keys[b]):
+                pairs.add((m + b, m + a))
+    g = Graph(m + len(s.arrows), tuple(edges))
+    return AbstractDrawing(g, CrossingRelation(frozenset(pairs)), "star")
 
 
 def fan_witnesses(s: StarConfig, k: int) -> list[StarFan]:
-    """Every (crosser, apex) whose crossed-object count at apex reaches k.
+    """``find_k_fans`` on ``star_drawing(s)``, with each edge named as the
+    boundary edge or arrow it stands for."""
+    d = star_drawing(s)
 
-    An arrow crosses the arrows its endpoints interleave with, plus its own
-    exit edge.  A boundary edge crosses exactly the arrows leaving through
-    it.
-    """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    m = s.m
-    n_arr = len(s.arrows)
-    keys = _arrow_keys(s)
-    cross = [[False] * n_arr for _ in range(n_arr)]
-    for a in range(n_arr):
-        for b in range(a + 1, n_arr):
-            if s.arrows[a][0] != s.arrows[b][0] and _interleaved(
-                keys[a][0], keys[a][1], keys[b][0], keys[b][1]
-            ):
-                cross[a][b] = cross[b][a] = True
-    out = []
-    for a in range(n_arr):
-        exit = s.arrows[a][1]
-        per_vertex: dict[int, list[tuple[str, int]]] = {}
-        for b in range(n_arr):
-            if cross[a][b]:
-                per_vertex.setdefault(s.arrows[b][0], []).append(("arrow", b))
-        for v in (exit, (exit + 1) % m):
-            per_vertex.setdefault(v, []).append(("edge", exit))
-        for v in sorted(per_vertex):
-            objs = per_vertex[v]
-            if len(objs) >= k:
-                objs.sort(key=lambda o: _object_sort_key(m, o))
-                out.append(StarFan(("arrow", a), v, tuple(objs[:k])))
-    for e in range(m):
-        per_start: dict[int, list[tuple[str, int]]] = {}
-        for b in range(n_arr):
-            if s.arrows[b][1] == e:
-                per_start.setdefault(s.arrows[b][0], []).append(("arrow", b))
-        for v in sorted(per_start):
-            objs = per_start[v]
-            if len(objs) >= k:
-                objs.sort(key=lambda o: _object_sort_key(m, o))
-                out.append(StarFan(("edge", e), v, tuple(objs[:k])))
-    return out
+    def obj(e: int) -> tuple[str, int]:
+        return ("edge", e) if e < s.m else ("arrow", e - s.m)
+
+    return [
+        StarFan(obj(w.crosser), w.apex, tuple(obj(e) for e in w.fan))
+        for w in _cr.find_k_fans(d.graph, d.crossings, k)
+    ]
 
 
 def is_fan_free(s: StarConfig, k: int) -> bool:
@@ -228,7 +211,13 @@ def _arrow_matrix(s: StarConfig):
 
 
 def classify_vertices(s: StarConfig) -> VertexClasses:
-    """Tag vertices by the zero-degree run rule.
+    """Heavy / light / void tags of the star's vertices (``vertex_classes``)."""
+    return vertex_classes(*_arrow_matrix(s))
+
+
+def vertex_classes(deg: list[int], a_ij: list[list[int]]) -> VertexClasses:
+    """Tag vertices by the zero-degree run rule, from each vertex's arrow
+    count ``deg`` and the arrow counts ``a_ij`` per (start, exit) pair.
 
     A maximal run of zero-degree vertices v_s..v_{s+t-1} is all left-light
     when no short arrow from the vertex before the run passes over its first
@@ -238,37 +227,30 @@ def classify_vertices(s: StarConfig) -> VertexClasses:
     with no arrows at all is all left-light (every condition holds
     vacuously).
     """
-    m = s.m
-    deg, a_ij = _arrow_matrix(s)
-    tags = [HEAVY if deg[v] > 0 else None for v in range(m)]
-    if all(d == 0 for d in deg):
-        return VertexClasses(tuple([LEFT_LIGHT] * m), 0, m, 0)
-    runs = []
+    m = len(deg)
+    if not any(deg):
+        return VertexClasses((LEFT_LIGHT,) * m, 0, m, 0)
+    tags = [HEAVY if d > 0 else None for d in deg]
     for v0 in range(m):
-        if deg[v0] == 0 and deg[(v0 - 1) % m] > 0:
-            t = 0
-            while deg[(v0 + t) % m] == 0:
-                t += 1
-            runs.append((v0, t))
-    for v0, t in runs:
+        if deg[v0] > 0 or deg[(v0 - 1) % m] == 0:
+            continue
+        t = 1
+        while deg[(v0 + t) % m] == 0:
+            t += 1
         pred = (v0 - 1) % m
         succ = (v0 + t) % m
         last = (v0 + t - 1) % m
         if a_ij[pred][v0] == 0:
-            for i in range(t):
-                tags[(v0 + i) % m] = LEFT_LIGHT
+            run = [LEFT_LIGHT] * t
         elif a_ij[succ][(last - 1) % m] == 0:
-            for i in range(t):
-                tags[(v0 + i) % m] = RIGHT_LIGHT
+            run = [RIGHT_LIGHT] * t
         else:
-            for i in range(t - 1):
-                tags[(v0 + i) % m] = RIGHT_LIGHT
-            tags[last] = VOID
-    assert all(tag is not None for tag in tags)
+            run = [RIGHT_LIGHT] * (t - 1) + [VOID]
+        for i, tag in enumerate(run):
+            tags[(v0 + i) % m] = tag
     h = tags.count(HEAVY)
-    lam = tags.count(LEFT_LIGHT) + tags.count(RIGHT_LIGHT)
     nu = tags.count(VOID)
-    return VertexClasses(tuple(tags), h, lam, nu)
+    return VertexClasses(tuple(tags), h, m - h - nu, nu)
 
 
 def bound_b(h: int, lam: int, nu: int, k: int) -> int:
@@ -321,7 +303,7 @@ def canonical_form(s: StarConfig) -> tuple:
     return min(rotate_star(s, r).arrows for r in range(s.m))
 
 
-def realize_star(s: StarConfig, salt: int = 0) -> StraightLineDrawing:
+def realize_star(s: StarConfig) -> StraightLineDrawing:
     """Geometric realization: polygon on a rational circle, arrows drawn as
     segments extended just beyond their exit edge.
 
@@ -332,7 +314,7 @@ def realize_star(s: StarConfig, salt: int = 0) -> StraightLineDrawing:
     """
     m = s.m
     # rational points on the unit circle, ccw by the tan-half parametrisation
-    ts = [Fraction(2 * i - (m - 1), m + 1 + salt) * 3 for i in range(m)]
+    ts = [Fraction(2 * i - (m - 1), m + 1) * 3 for i in range(m)]
     poly = []
     for t in ts:
         den = 1 + t * t
@@ -346,25 +328,21 @@ def realize_star(s: StarConfig, salt: int = 0) -> StraightLineDrawing:
         for rank, idx in enumerate(order):
             lam = Fraction(rank + 1, cnt + 1)
             exit_pts[idx] = (u[0] + lam * (v[0] - u[0]), u[1] + lam * (v[1] - u[1]))
+    g = star_drawing(s).graph
     eps = Fraction(1, 16)
     for _attempt in range(40):
         coords = list(poly)
-        edges = [(i, (i + 1) % m) for i in range(m)]
-        for idx, (a, e, _t) in enumerate(s.arrows):
+        for idx, (a, _e, _t) in enumerate(s.arrows):
             sx, sy = poly[a]
             qx, qy = exit_pts[idx]
             coords.append((qx + eps * (qx - sx), qy + eps * (qy - sy)))
-            edges.append((a, m + idx))
-        drawing = StraightLineDrawing(Graph(m + len(s.arrows), tuple(edges)), tuple(coords))
+        drawing = StraightLineDrawing(g, tuple(coords))
         if _cr.validate_simplicity(drawing).ok:
             rel = _cr.compute_crossings(drawing)
-            good = True
-            for idx, (a, e, _t) in enumerate(s.arrows):
-                hits = [x for x in rel.crossed_by(m + idx) if x < m]
-                if hits != [e]:
-                    good = False
-                    break
-            if good:
+            if all(
+                [x for x in rel.crossed_by(m + idx) if x < m] == [e]
+                for idx, (_a, e, _t) in enumerate(s.arrows)
+            ):
                 return drawing
         eps /= 2
     raise RuntimeError("could not realize star configuration exactly")
@@ -372,6 +350,10 @@ def realize_star(s: StarConfig, salt: int = 0) -> StraightLineDrawing:
 
 # ---------------------------------------------------------------------------
 # Exact maximum-arrow search
+
+# most extremal configurations a search returns
+MAX_WITNESSES = 16
+
 
 class InconclusiveError(RuntimeError):
     """Search node budget exhausted; the reported maximum would be unsafe."""
@@ -400,13 +382,12 @@ class _Search:
     the whole subtree (supersets keep the blocking fan).
     """
 
-    def __init__(self, m, k, pairs, target_class, budget, max_witnesses):
+    def __init__(self, m, k, pairs, target_class, budget):
         self.m = m
         self.k = k
         self.pairs = pairs
         self.target = target_class
         self.budget = budget
-        self.max_witnesses = max_witnesses
         self.maxmult = k - 1
         self.nodes = 0
         self.best = -1
@@ -421,31 +402,6 @@ class _Search:
         self.deg = [0] * m
         self.a_ij = [[0] * m for _ in range(m)]
 
-    # -- classification on the live arrays (mirrors classify_vertices)
-
-    def _class_counts(self):
-        m, deg, a_ij = self.m, self.deg, self.a_ij
-        if not self.starts:
-            return (0, m, 0)
-        h = lam = nu = 0
-        for v0 in range(m):
-            if deg[v0] > 0:
-                h += 1
-                continue
-            if deg[(v0 - 1) % m] > 0:
-                t = 0
-                while deg[(v0 + t) % m] == 0:
-                    t += 1
-                pred = (v0 - 1) % m
-                succ = (v0 + t) % m
-                last = (v0 + t - 1) % m
-                if a_ij[pred][v0] == 0 or a_ij[succ][(last - 1) % m] == 0:
-                    lam += t
-                else:
-                    lam += t - 1
-                    nu += 1
-        return (h, lam, nu)
-
     def _snapshot(self) -> StarConfig:
         arrows = []
         for e in range(self.m):
@@ -454,13 +410,16 @@ class _Search:
         return StarConfig(self.m, tuple(sorted(arrows)))
 
     def _record(self):
-        if self.target is not None and self._class_counts() != self.target:
+        if (
+            self.target is not None
+            and vertex_classes(self.deg, self.a_ij).counts != self.target
+        ):
             return
         count = len(self.starts)
         if count > self.best:
             self.best = count
             self.witnesses = [self._snapshot()]
-        elif count == self.best and len(self.witnesses) < self.max_witnesses:
+        elif count == self.best and len(self.witnesses) < MAX_WITNESSES:
             snap = self._snapshot()
             if snap not in self.witnesses:
                 self.witnesses.append(snap)
@@ -598,7 +557,6 @@ def max_arrows(
     long_only: bool = False,
     vertex_class: tuple[int, int, int] | None = None,
     budget: int | None = None,
-    max_witnesses: int = 16,
 ) -> SearchResult:
     """Exact maximum number of arrows over fan-free m-stars.
 
@@ -619,7 +577,7 @@ def max_arrows(
             raise ValueError(f"class counts {vertex_class} do not partition m={m}")
     pairs = legal_pairs(m, long_only)
     first_limit = sum(1 for s, _e in pairs if s == 0)
-    search = _Search(m, k, pairs, vertex_class, budget, max_witnesses)
+    search = _Search(m, k, pairs, vertex_class, budget)
     return search.run(first_limit)
 
 
@@ -668,16 +626,18 @@ class BaseCaseRow:
     match: bool
 
 
-def verify_base_cases(k: int, budget: int | None = None) -> list[BaseCaseRow]:
-    """Run the class-constrained search for the nine small classes and
-    compare each exact maximum with its closed form."""
+def base_case_row(
+    h: int, lam: int, nu: int, k: int, budget: int | None = None
+) -> BaseCaseRow:
+    """Search the class (h, lam, nu) and compare its exact maximum with the
+    reference value."""
     if k < 3:
         raise ValueError(f"base cases are defined for k >= 3, got {k}")
-    rows = []
-    for h, lam, nu in BASE_CASE_ROWS:
-        res = max_arrows(h + lam + nu, k, vertex_class=(h, lam, nu), budget=budget)
-        formula = base_case_formula(h, lam, nu, k)
-        rows.append(
-            BaseCaseRow(h, lam, nu, res.maximum, formula, res.maximum == formula)
-        )
-    return rows
+    res = max_arrows(h + lam + nu, k, vertex_class=(h, lam, nu), budget=budget)
+    formula = base_case_formula(h, lam, nu, k)
+    return BaseCaseRow(h, lam, nu, res.maximum, formula, res.maximum == formula)
+
+
+def verify_base_cases(k: int, budget: int | None = None) -> list[BaseCaseRow]:
+    """``base_case_row`` for each of the nine small classes."""
+    return [base_case_row(h, lam, nu, k, budget) for h, lam, nu in BASE_CASE_ROWS]

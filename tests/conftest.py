@@ -65,6 +65,8 @@ def brute_class_table(m: int, k: int) -> dict[tuple[int, int, int], int]:
     """Exact per-class maxima by enumerating every multiset of legal arrow
     pairs and every slot ordering; completely independent of the search.
 
+    The arrow count grows until no star of that count is fan-free.  Removing
+    an arrow keeps a star fan-free, so no larger count can have one either.
     Cached, since the 4-gon at k = 3 takes seconds and several tests read
     it; callers must not mutate the returned dict.
     """
@@ -90,7 +92,8 @@ def brute_class_table(m: int, k: int) -> dict[tuple[int, int, int], int]:
 
         yield from rec(0)
 
-    for total in range(0, 3 * k + 1):
+    for total in itertools.count():
+        found = False
         for multiset in itertools.combinations_with_replacement(pairs, total):
             if any(multiset.count(p) > k - 1 for p in set(multiset)):
                 continue
@@ -104,7 +107,9 @@ def brute_class_table(m: int, k: int) -> dict[tuple[int, int, int], int]:
                 seen.add(arrows)
                 cfg = StarConfig(m, arrows)
                 if is_fan_free(cfg, k):
+                    found = True
                     cls = classify_vertices(cfg).counts
                     if cls not in best or total > best[cls]:
                         best[cls] = total
-    return best
+        if not found:
+            return best

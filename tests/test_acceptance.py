@@ -1,6 +1,7 @@
 """Acceptance suite: one test per headline criterion, each printing a
 PASS/FAIL line.  Values are exact; the only tolerances are the stated wall
-clock limits.
+clock limits.  C1, C2, C8 and C9 run the ``fanfree repro`` claims at their
+own sizes and seeds.
 
 Criterion 3 checks the class-constrained star search against the
 brute-force enumerator on the nine base cases at k = 3, and the bound_b
@@ -21,9 +22,11 @@ from fanfree import star as fs
 from fanfree.crossings import compute_crossings, find_k_fans, validate_simplicity
 from fanfree.model import AbstractDrawing, CrossingRelation, Graph
 from fanfree.repro import (
+    claim_bounds_table,
+    claim_oracle,
+    claim_star_range,
+    claim_star_small,
     grid_floor_ok,
-    naive_fan_oracle,
-    random_drawing,
     random_fan_free_drawing,
 )
 
@@ -38,37 +41,21 @@ def _report(cid: str, ok: bool, detail: str):
     assert ok, f"{cid}: {detail}"
 
 
+def _report_claims(cid: str, claims, in_time: bool):
+    ok = in_time and all(c.status == "pass" for c in claims)
+    _report(cid, ok, "; ".join(f"{c.detail} ({c.seconds:.1f}s)" for c in claims))
+
+
 def test_c01_star_puzzle_exact_values():
-    t0 = time.perf_counter()
-    r3 = fs.max_arrows(3, 2)
-    t3 = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    r4 = fs.max_arrows(4, 2)
-    t4 = time.perf_counter() - t0
-    ok = r3.maximum == 1 and r4.maximum == 2 and t3 < 1.0 and t4 < 1.0
-    _report("C1", ok, f"3-gon max {r3.maximum} in {t3:.3f}s, 4-gon max {r4.maximum} in {t4:.3f}s")
+    claims = claim_star_small()
+    _report_claims("C1", claims, all(c.seconds < 1.0 for c in claims))
 
 
 def test_c02_star_conjecture_probe():
-    details = []
-    ok = True
-    t_small = 0.0
-    for m in (5, 6, 7, 8):
-        t0 = time.perf_counter()
-        res = fs.max_arrows(m, 2)
-        long_res = fs.max_arrows(m, 2, long_only=True)
-        dt = time.perf_counter() - t0
-        if m <= 7:
-            t_small += dt
-        lo, hi = 2 * m - 6, 3 * m - 9
-        ok = ok and res.maximum is not None and lo <= res.maximum <= hi
-        ok = ok and long_res.maximum <= 2 * m - 8
-        if m == 8:
-            ok = ok and dt < 900.0
-        eq = "= 2m-6" if res.maximum == lo else "> 2m-6"
-        details.append(f"m={m}: max {res.maximum} ({eq}), long {long_res.maximum} <= {2 * m - 8}, {dt:.1f}s")
-    ok = ok and t_small < 120.0
-    _report("C2", ok, "; ".join(details))
+    claims = claim_star_range((5, 6, 7, 8))
+    *small, m8 = claims
+    in_time = sum(c.seconds for c in small) < 120.0 and m8.seconds < 900.0
+    _report_claims("C2", claims, in_time)
 
 
 def _base_case_certificate(r) -> str | None:
@@ -203,32 +190,11 @@ def test_c07_k_at_least_three_families():
 
 
 def test_c08_bounds_table_and_nonexistence():
-    for n in range(3, 101):
-        exact, _reason = fb.exact_extremal_k2(n)
-        bound = fb.upper_bound(n, 2)
-        assert fb.upper_bound(n, 2, straight=True) == bound - 1, n
-        assert exact <= bound, n
-        assert (exact == bound) == (n == 8 or n >= 10), n
-    assert fb.exact_extremal_k2(7)[0] == 19
-    assert fb.exact_extremal_k2(9)[0] == 27
-    a7 = fb.nonexistence_argument(7)
-    a9 = fb.nonexistence_argument(9)
-    assert a7["avg_degree"] < 3 and a7["degree2_forced"]
-    assert a9["integer_solutions"] == [] and a9["contradiction"]
-    _report("C8", True, "cases 3..100 match; n=7 average degree 20/7 < 3; n=9 equation 4+3k=24-3k unsolvable")
+    _report_claims("C8", claim_bounds_table(), True)
 
 
 def test_c09_oracle_equivalence():
-    rng = random.Random(909090)
-    mismatches = 0
-    for _ in range(500):
-        d = random_drawing(rng)
-        c = compute_crossings(d)
-        for k in (2, 3, 4):
-            fast = {(w.crosser, w.apex) for w in find_k_fans(d.graph, c, k)}
-            if fast != naive_fan_oracle(d.graph, c, k):
-                mismatches += 1
-    _report("C9", mismatches == 0, f"500 seeded drawings, k in (2,3,4), {mismatches} mismatches")
+    _report_claims("C9", claim_oracle(500, 909090), True)
 
 
 def test_c10_falsification_guard():

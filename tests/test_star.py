@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -20,6 +21,7 @@ from fanfree.star import (
     refined_cycle,
     rotate_star,
     short_arrow_witness,
+    star_drawing,
     sub_star,
     validate_star,
     verify_base_cases,
@@ -76,6 +78,18 @@ def test_validate_star_rejects_incident_exit():
 
 def test_validate_star_rejects_bad_slots():
     assert validate_star(StarConfig(4, ((0, 1, 1),))) is not None
+
+
+def test_malformed_stars_are_rejected():
+    for s in (
+        StarConfig(4, ((0, 0, 0),)),  # exit edge at its own start
+        StarConfig(4, ((0, 0, 0), (0, 0, 1))),
+        StarConfig(4, ((0, 1, 1),)),  # slots skip 0
+    ):
+        message = re.escape(validate_star(s))
+        for check in (is_fan_free, fan_witnesses):
+            with pytest.raises(ValueError, match=message):
+                check(s, 2)
 
 
 # -- fan-freeness ------------------------------------------------------------
@@ -321,6 +335,8 @@ def test_geometric_soundness_of_combinatorial_crossing():
         s = random_star(rng, m, k, attempts=20)
         d = realize_star(s)
         rel = compute_crossings(d)
+        assert star_drawing(s).graph == d.graph
+        assert star_drawing(s).crossings == rel
         n_arr = len(s.arrows)
         geo = {
             (a, b)
