@@ -112,15 +112,13 @@ class FaceSet:
 
 
 def trace_faces(
-    d: StraightLineDrawing, h_edges: list[int], c: CrossingRelation | None = None
+    d: StraightLineDrawing, h_edges: list[int], c: CrossingRelation
 ) -> FaceSet:
     """Faces of the plane subgraph: rotation-system walks grouped into
     faces by exact containment.  The drawing must be simple (``audit``
-    validates it first); ``c`` is its crossing relation, computed here when
-    not given.  Fails loudly if a pair of ``c`` has both edges in H."""
+    validates it first) and ``c`` is its crossing relation.  Fails loudly
+    if a pair of ``c`` has both edges in H."""
     g = d.graph
-    if c is None:
-        c = compute_crossings(d)
     in_h = set(h_edges)
     if any(i in in_h and j in in_h for i, j in c.pairs):
         raise ValueError("trace_faces requires a crossing-free edge set")

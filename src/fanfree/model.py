@@ -40,12 +40,11 @@ class Graph:
         return len(self.edges)
 
     def incident_edges(self) -> list[list[int]]:
-        """Edge indices incident to each vertex (out-of-range endpoints skipped)."""
+        """Edge indices incident to each vertex."""
         inc: list[list[int]] = [[] for _ in range(self.n)]
         for i, (u, v) in enumerate(self.edges):
-            if 0 <= u < self.n:
-                inc[u].append(i)
-            if 0 <= v < self.n and v != u:
+            inc[u].append(i)
+            if v != u:
                 inc[v].append(i)
         return inc
 
@@ -189,7 +188,11 @@ def to_json_dict(obj: Graph | Drawing) -> dict:
 
 
 def from_json_dict(data: dict) -> Graph | Drawing:
+    """Inverse of ``to_json_dict``.  Raises ValueError for a graph that
+    fails ``validate_graph`` or crossings that fail ``validate_crossings``."""
     g = Graph(data["n"], tuple((u, v) for u, v in data["edges"]))
+    if problem := validate_graph(g):
+        raise ValueError(problem)
     if "coords" in data and data["coords"] is not None:
         coords = tuple(
             (Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in data["coords"]
@@ -197,6 +200,8 @@ def from_json_dict(data: dict) -> Graph | Drawing:
         return StraightLineDrawing(g, coords)
     if "crossings" in data and data["crossings"] is not None:
         rel = CrossingRelation(frozenset((i, j) for i, j in data["crossings"]))
+        if problem := validate_crossings(g, rel):
+            raise ValueError(problem)
         return AbstractDrawing(g, rel, data.get("provenance", "external"))
     return g
 

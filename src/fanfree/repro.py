@@ -1,21 +1,23 @@
 """Reproduction battery: seeded random drawings, the independent
-brute-force fan oracle, and the claim-by-claim checks behind the
-``fanfree repro`` command.
+brute-force oracles, and the claim-by-claim checks behind the
+``fanfree repro`` command and the acceptance suite.
 
-The oracle here deliberately re-derives fan crossings by enumerating
-(k+1)-tuples with itertools instead of bucket counting, so that agreement
-with the fast detector is meaningful.
+The fan oracle deliberately re-derives fan crossings by enumerating
+(k+1)-tuples with itertools instead of bucket counting, and the star class
+enumerator tries every multiset of arrows in every slot order instead of
+searching, so that agreement with the fast code is meaningful.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import CrossingRelation, Graph, StraightLineDrawing
+from .model import AbstractDrawing, CrossingRelation, Graph, StraightLineDrawing
 from . import bounds as _bounds
 from . import constructions as _con
 from . import decompose as _dec
@@ -40,6 +42,43 @@ def naive_fan_oracle(g: Graph, c: CrossingRelation, k: int) -> set[tuple[int, in
                     found.add((crosser, apex))
                     break
     return found
+
+
+@functools.cache
+def brute_class_table(m: int, k: int) -> dict[tuple[int, int, int], int]:
+    """Exact per-class maxima of fan-free m-stars, by enumerating every
+    multiset of legal arrow pairs and every order of the arrows on each
+    exit edge; it shares no code with the search.
+
+    The arrow count grows until no star of that count is fan-free.  Removing
+    an arrow keeps a star fan-free, so no larger count can have one either.
+    Cached, since the 4-gon at k = 3 takes about a second; callers must not
+    mutate the returned dict.
+    """
+    best: dict[tuple[int, int, int], int] = {}
+    for total in itertools.count():
+        found = False
+        for multiset in itertools.combinations_with_replacement(_star.legal_pairs(m), total):
+            if any(multiset.count(p) >= k for p in multiset):
+                continue
+            per_edge: dict[int, list[int]] = {}
+            for s, e in multiset:
+                per_edge.setdefault(e, []).append(s)
+            for orders in itertools.product(
+                *(set(itertools.permutations(starts)) for starts in per_edge.values())
+            ):
+                arrows = sorted(
+                    (s, e, slot)
+                    for e, order in zip(per_edge, orders)
+                    for slot, s in enumerate(order)
+                )
+                cfg = _star.StarConfig(m, tuple(arrows))
+                if _star.is_fan_free(cfg, k):
+                    found = True
+                    cls = _star.classify_vertices(cfg).counts
+                    best[cls] = max(best.get(cls, 0), total)
+        if not found:
+            return best
 
 
 def random_drawing(rng: random.Random, max_n: int = 12, max_edges: int = 20):
@@ -125,17 +164,46 @@ def claim_star_range(ms, budget=None) -> list[Claim]:
 
 
 def claim_base_cases(k=3, budget=None) -> list[Claim]:
+    """One claim per base-case class at k.  A row passes when the searched
+    maximum equals the enumerator's, is at most ``bound_b``, and either
+    equals the reference value or is certified: the class is empty, or
+    every searched witness has more arrows than the reference, has that
+    class, and realizes as a straight-line drawing with no k-fan.  A row
+    below the reference fails."""
     out = []
-    for h, lam, nu in _star.BASE_CASE_ROWS:
-        formula = _star.base_case_formula(h, lam, nu, k)
+    for klass in _star.BASE_CASE_ROWS:
+        ref = _star.base_case_formula(*klass, k)
 
-        def check(h=h, lam=lam, nu=nu):
-            r = _star.base_case_row(h, lam, nu, k, budget)
-            return r.match, f"searched={r.searched}, published={r.formula}"
+        def check(klass=klass, ref=ref):
+            m = sum(klass)
+            res = _star.max_arrows(m, k, vertex_class=klass, budget=budget)
+            found, enumerated = res.maximum, brute_class_table(m, k).get(klass)
+            detail = f"searched={found}, enumerated={enumerated}, reference={ref}"
+            if found != enumerated:
+                return False, f"{detail}; search and enumerator disagree"
+            if found is not None and found > _star.bound_b(*klass, k):
+                return False, f"{detail}; above bound_b"
+            if found == ref:
+                return True, detail
+            if found is None:
+                return True, f"{detail}; off the reference, certified: class empty"
+            if found < ref or not res.configs:
+                return False, f"{detail}; below the reference or no witness"
+            for cfg in res.configs:
+                d = _star.realize_star(cfg)
+                if (
+                    len(cfg.arrows) <= ref
+                    or _star.classify_vertices(cfg).counts != klass
+                    or find_k_fans(d.graph, compute_crossings(d), k)
+                ):
+                    return False, f"{detail}; witness {cfg.arrows} uncertified"
+            return True, (
+                f"{detail}; off the reference, certified: {len(res.configs)} "
+                f"witnesses of that class realize with no {k}-fan"
+            )
 
-        out.append(
-            _claim(f"star classes: A({h},{lam},{nu}) at k={k} equals {formula}", check)
-        )
+        name = "star classes: A({},{},{}) at k={} against reference {}".format(*klass, k, ref)
+        out.append(_claim(name, check))
     return out
 
 
@@ -150,12 +218,16 @@ def claim_quad_family(ns) -> list[Claim]:
 
 
 def claim_straight_family(ns) -> list[Claim]:
+    k6 = {(u, v) for u in range(6) for v in range(u + 1, 6)}
+
     def check():
         for n in ns:
             d = _con.gen_straight_extremal(n)
             if len(d.graph.edges) != 4 * n - 9:
                 return False, f"n={n}: wrong edge count {len(d.graph.edges)}"
-        return True, f"{len(list(ns))} sizes generated and verified at 4n-9 edges"
+            if n == 6 and set(d.graph.edges) != k6:
+                return False, "n=6: the drawing is not K_6"
+        return True, f"{len(list(ns))} sizes generated and verified at 4n-9 edges; n=6 is K_6"
     return [_claim("constructions: straight-line family attains 4n-9", check)]
 
 
@@ -194,7 +266,31 @@ def grid_floor_ok(edges: int, n: int, k: int) -> bool:
     return 64 * (k - 1) * (k - 1) * n * k >= rhs * rhs
 
 
+def _quad_skeleton_problem(n: int) -> str | None:
+    """Greedy H of the quad family is its skeleton plus each face's first
+    diagonal, a triangulation whose triangles each take one arrow from the
+    face's excluded diagonal; what breaks that, or None."""
+    d = _con.gen_quad_extremal(n)
+    h, excluded = _dec.maximal_plane_subgraph(d.graph, d.crossings)
+    if len(h) != 3 * n - 6:
+        return f"quad n={n}: greedy H has {len(h)} edges, not 3n-6"
+    h, excluded = set(h), set(excluded)
+    triangles = set()
+    for i, (p, q, r, s) in enumerate(_con.quad_extremal_parts(n)[1]):
+        first = 2 * n - 4 + 2 * i
+        if first not in h or first + 1 not in excluded:
+            return f"quad n={n}: face {i} diagonals not split between H and arrows"
+        triangles |= {tuple(sorted(t)) for t in ((p, q, r), (p, r, s))}
+    if len(triangles) != 2 * n - 4:
+        return f"quad n={n}: {len(triangles)} distinct triangles, not 2n-4"
+    return None
+
+
 def claim_audit(ns=(6, 12, 20), samples=50, seed=20240807) -> list[Claim]:
+    """Audits of the straight-line family at each n of ``ns`` (two faces
+    without arrows, one arrow in every other face) and of ``samples``
+    random fan-free drawings, plus the quad family's greedy H at each n of
+    ``ns`` where that family exists."""
     def check():
         rng = random.Random(seed)
         audited = 0
@@ -202,6 +298,9 @@ def claim_audit(ns=(6, 12, 20), samples=50, seed=20240807) -> list[Claim]:
             rep = _dec.audit(_con.gen_straight_extremal(n), 2)
             if not rep.ok:
                 return False, f"straight n={n}: {rep.falsifications[:1]}"
+            arrows = sorted(fa.arrows for fa in rep.face_audits)
+            if arrows != [0, 0] + [1] * (rep.faces - 2):
+                return False, f"straight n={n}: arrows per face {arrows}"
             audited += 1
         for _ in range(samples):
             d = random_fan_free_drawing(rng)
@@ -209,7 +308,15 @@ def claim_audit(ns=(6, 12, 20), samples=50, seed=20240807) -> list[Claim]:
             if not rep.ok:
                 return False, f"random drawing: {rep.falsifications[:1]}"
             audited += 1
-        return True, f"{audited} decompositions audited, all identities and face bounds hold"
+        quad_ns = [n for n in ns if n == 8 or n >= 10]
+        for n in quad_ns:
+            problem = _quad_skeleton_problem(n)
+            if problem:
+                return False, problem
+        return True, (
+            f"{audited} decompositions audited, all identities and face bounds hold; "
+            f"{len(quad_ns)} quad skeletons are triangulated with one arrow per triangle"
+        )
     return [_claim("decomposition: face bounds and counting identities", check)]
 
 
@@ -249,14 +356,28 @@ def claim_oracle(samples=500, seed=20240808) -> list[Claim]:
 
 
 def claim_falsification_guard(ns=(8, 12, 20, 30)) -> list[Claim]:
+    """The quad family (where it exists) and the straight-line family,
+    checked against the straight-line bound, sit exactly at their bounds at
+    each n of ``ns``; a fabricated K_7 without crossings is flagged."""
     def check():
         for n in ns:
-            rep = _bounds.check_graph_against_bounds(_con.gen_quad_extremal(n), 2)
-            if rep.falsification:
-                return False, f"quad n={n} flagged as falsification"
-            if rep.verdict != "extremal":
-                return False, f"quad n={n} verdict {rep.verdict}"
-        return True, "no verified fan-free input exceeds a proven bound"
+            drawings = [("straight", _con.gen_straight_extremal(n), True)]
+            if n == 8 or n >= 10:
+                drawings.append(("quad", _con.gen_quad_extremal(n), False))
+            for family, d, straight in drawings:
+                rep = _bounds.check_graph_against_bounds(d, 2, straight=straight)
+                if rep.falsification:
+                    return False, f"{family} n={n} flagged as falsification"
+                if rep.verdict != "extremal":
+                    return False, f"{family} n={n} verdict {rep.verdict}"
+        k7 = Graph(7, tuple((u, v) for u in range(7) for v in range(u + 1, 7)))
+        lying = AbstractDrawing(k7, CrossingRelation(), "external")
+        if not _bounds.check_graph_against_bounds(lying, 2).falsification:
+            return False, "a fabricated fan-free K_7 is not flagged"
+        return True, (
+            "no verified fan-free input exceeds a proven bound; "
+            "a fabricated counterexample is flagged"
+        )
     return [_claim("falsification guard: extremal inputs sit exactly at the bound", check)]
 
 

@@ -126,18 +126,6 @@ def short_arrow_witness(s: StarConfig, a: int) -> int:
     return (start - 1) % s.m
 
 
-@dataclass(frozen=True)
-class StarFan:
-    """A fan-crossing inside a star: ``crosser`` crosses ``members`` at ``apex``.
-
-    Objects are ("arrow", index) or ("edge", boundary edge index).
-    """
-
-    crosser: tuple[str, int]
-    apex: int
-    members: tuple[tuple[str, int], ...]
-
-
 def star_drawing(s: StarConfig) -> AbstractDrawing:
     """The star as an abstract drawing.
 
@@ -162,22 +150,9 @@ def star_drawing(s: StarConfig) -> AbstractDrawing:
     return AbstractDrawing(g, CrossingRelation(frozenset(pairs)), "star")
 
 
-def fan_witnesses(s: StarConfig, k: int) -> list[StarFan]:
-    """``find_k_fans`` on ``star_drawing(s)``, with each edge named as the
-    boundary edge or arrow it stands for."""
-    d = star_drawing(s)
-
-    def obj(e: int) -> tuple[str, int]:
-        return ("edge", e) if e < s.m else ("arrow", e - s.m)
-
-    return [
-        StarFan(obj(w.crosser), w.apex, tuple(obj(e) for e in w.fan))
-        for w in _cr.find_k_fans(d.graph, d.crossings, k)
-    ]
-
-
 def is_fan_free(s: StarConfig, k: int) -> bool:
-    return not fan_witnesses(s, k)
+    d = star_drawing(s)
+    return not _cr.find_k_fans(d.graph, d.crossings, k)
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +464,9 @@ class _Search:
             raise InconclusiveError(self.nodes, self.best if self.best >= 0 else None)
         pairs = self.pairs
         cap = 0
-        for j in range(lo, limit):
+        for j in range(lo, len(pairs)):
             if not self.dead[j]:
                 cap += self.maxmult - self.mult[j]
-        # capacity ignores pairs past the first-arrow limit only at the root,
-        # where the tail is symmetric to an explored branch anyway
-        if limit < len(pairs):
-            for j in range(limit, len(pairs)):
-                if not self.dead[j]:
-                    cap += self.maxmult - self.mult[j]
         count = len(self.starts)
         marked = []
         for idx in range(lo, limit):
@@ -626,18 +595,14 @@ class BaseCaseRow:
     match: bool
 
 
-def base_case_row(
-    h: int, lam: int, nu: int, k: int, budget: int | None = None
-) -> BaseCaseRow:
-    """Search the class (h, lam, nu) and compare its exact maximum with the
-    reference value."""
+def verify_base_cases(k: int, budget: int | None = None) -> list[BaseCaseRow]:
+    """Exact maximum of each of the nine small classes beside its reference
+    value."""
     if k < 3:
         raise ValueError(f"base cases are defined for k >= 3, got {k}")
-    res = max_arrows(h + lam + nu, k, vertex_class=(h, lam, nu), budget=budget)
-    formula = base_case_formula(h, lam, nu, k)
-    return BaseCaseRow(h, lam, nu, res.maximum, formula, res.maximum == formula)
-
-
-def verify_base_cases(k: int, budget: int | None = None) -> list[BaseCaseRow]:
-    """``base_case_row`` for each of the nine small classes."""
-    return [base_case_row(h, lam, nu, k, budget) for h, lam, nu in BASE_CASE_ROWS]
+    rows = []
+    for h, lam, nu in BASE_CASE_ROWS:
+        res = max_arrows(h + lam + nu, k, vertex_class=(h, lam, nu), budget=budget)
+        formula = base_case_formula(h, lam, nu, k)
+        rows.append(BaseCaseRow(h, lam, nu, res.maximum, formula, res.maximum == formula))
+    return rows

@@ -1,213 +1,77 @@
 """Acceptance suite: one test per headline criterion, each printing a
-PASS/FAIL line.  Values are exact; the only tolerances are the stated wall
-clock limits.  C1, C2, C8 and C9 run the ``fanfree repro`` claims at their
-own sizes and seeds.
+PASS/FAIL line.  Every criterion runs the ``fanfree repro`` claims at its
+own sizes and seeds; the claims in ``fanfree.repro`` hold all the checks.
+Values are exact; the only tolerance is each criterion's wall-clock limit
+on the total time of its claims.
 
 Criterion 3 checks the class-constrained star search against the
 brute-force enumerator on the nine base cases at k = 3, and the bound_b
 inequality on each.  Three rows differ from the reference table in
-``base_case_formula``; the test accepts such a row only with a certificate
-(an empty class, or a witness above the reference that realizes without a
-3-fan) and names each one in its PASS/FAIL line.  See the README, "Base-case
-table".
+``base_case_formula``; their claims pass only with a certificate (an empty
+class, or witnesses above the reference that realize without a 3-fan) and
+name it in their details.  See the README, "Base-case table".
 """
 
-import random
-import time
-
-from fanfree import bounds as fb
-from fanfree import constructions as fc
-from fanfree import decompose as fd
-from fanfree import star as fs
-from fanfree.crossings import compute_crossings, find_k_fans, validate_simplicity
-from fanfree.model import AbstractDrawing, CrossingRelation, Graph
 from fanfree.repro import (
+    claim_audit,
+    claim_base_cases,
     claim_bounds_table,
+    claim_falsification_guard,
+    claim_k_families,
     claim_oracle,
+    claim_quad_family,
     claim_star_range,
     claim_star_small,
-    grid_floor_ok,
-    random_fan_free_drawing,
+    claim_straight_family,
 )
-
-from conftest import brute_class_table
 
 QUAD_SIZES = (8,) + tuple(range(10, 61))
 STRAIGHT_SIZES = tuple(range(6, 61))
 
 
-def _report(cid: str, ok: bool, detail: str):
-    print(f"ACCEPTANCE {cid}: {'PASS' if ok else 'FAIL'} - {detail}")
-    assert ok, f"{cid}: {detail}"
-
-
-def _report_claims(cid: str, claims, in_time: bool):
-    ok = in_time and all(c.status == "pass" for c in claims)
-    _report(cid, ok, "; ".join(f"{c.detail} ({c.seconds:.1f}s)" for c in claims))
+def _report_claims(cid: str, claims, limit: float):
+    seconds = sum(c.seconds for c in claims)
+    ok = seconds < limit and all(c.status == "pass" for c in claims)
+    detail = "; ".join(f"{c.status.upper()} {c.name}: {c.detail}" for c in claims)
+    print(f"ACCEPTANCE {cid}: {'PASS' if ok else 'FAIL'} in {seconds:.1f}s of {limit:.0f}s - {detail}")
+    assert ok, f"{cid}: {detail} ({seconds:.1f}s, limit {limit:.0f}s)"
 
 
 def test_c01_star_puzzle_exact_values():
-    claims = claim_star_small()
-    _report_claims("C1", claims, all(c.seconds < 1.0 for c in claims))
+    _report_claims("C1", claim_star_small(), 1.0)
 
 
 def test_c02_star_conjecture_probe():
-    claims = claim_star_range((5, 6, 7, 8))
-    *small, m8 = claims
-    in_time = sum(c.seconds for c in small) < 120.0 and m8.seconds < 900.0
-    _report_claims("C2", claims, in_time)
-
-
-def _base_case_certificate(r) -> str | None:
-    """Why row r may differ from the reference table, or None if it may not.
-
-    An empty class needs the enumerator to find no fan-free star of that
-    class; a value above the reference needs a searched witness with more
-    arrows, of that class, whose straight-line realization has no 3-fan.
-    """
-    klass = (r.h, r.lam, r.nu)
-    if r.searched is None:
-        return None if klass in brute_class_table(sum(klass), 3) else "class empty"
-    witnesses = fs.max_arrows(sum(klass), 3, vertex_class=klass).configs
-    if not witnesses:
-        return None
-    for cfg in witnesses:
-        if len(cfg.arrows) <= r.formula or fs.classify_vertices(cfg).counts != klass:
-            return None
-        d = fs.realize_star(cfg)
-        if find_k_fans(d.graph, compute_crossings(d), 3):
-            return None
-    return "witness realized fan-free"
+    _report_claims("C2", claim_star_range((5, 6, 7, 8)), 900.0)
 
 
 def test_c03_base_case_table():
-    # the nine base cases at k = 3, exactly: each searched maximum is the
-    # brute-force enumerator's, within the closed-form bound, and a row
-    # that differs from the reference table carries a certificate
-    t0 = time.perf_counter()
-    rows = fs.verify_base_cases(3)
-    dt = time.perf_counter() - t0
-    enumerated = {**brute_class_table(3, 3), **brute_class_table(4, 3)}
-    bad, notes = [], []
-    for r in rows:
-        name = f"A({r.h},{r.lam},{r.nu}) searched={r.searched} published={r.formula}"
-        expect = enumerated.get((r.h, r.lam, r.nu))
-        if r.searched != expect:
-            bad.append(f"{name} enumerated={expect}")
-        elif r.searched is not None and r.searched > fs.bound_b(r.h, r.lam, r.nu, 3):
-            bad.append(f"{name} above bound_b")
-        elif not r.match:
-            if r.searched is not None and r.searched < r.formula:
-                bad.append(f"{name} below the reference")
-            elif cert := _base_case_certificate(r):
-                notes.append(f"{name} ({cert})")
-            else:
-                bad.append(f"{name} uncertified")
-    detail = (
-        f"{len(rows) - len(bad)}/9 rows hold in {dt:.1f}s "
-        "(searched = enumerated <= bound_b, certified where off the reference), "
-        f"{sum(r.match for r in rows)}/9 match the reference"
-        + ("; certified mismatches: " + ", ".join(notes) if notes else "")
-        + ("; failures: " + ", ".join(bad) if bad else "")
-    )
-    _report("C3", not bad and dt < 300.0, detail)
+    _report_claims("C3", claim_base_cases(3), 300.0)
 
 
 def test_c04_quad_extremal_family():
-    for n in QUAD_SIZES:
-        d = fc.gen_quad_extremal(n)
-        assert len(d.graph.edges) == 4 * n - 8, n
-        assert not find_k_fans(d.graph, d.crossings, 2), n
-        q_edges, faces = fc.quad_extremal_parts(n)
-        assert fc.is_bipartite(n, q_edges), n
-        assert len(faces) == n - 2, n
-    _report("C4", True, f"{len(QUAD_SIZES)} sizes at exactly 4n-8 edges, fan-free, bipartite skeleton")
+    _report_claims("C4", claim_quad_family(QUAD_SIZES), 60.0)
 
 
 def test_c05_straight_extremal_family():
-    for n in STRAIGHT_SIZES:
-        d = fc.gen_straight_extremal(n)
-        assert len(d.graph.edges) == 4 * n - 9, n
-        assert validate_simplicity(d).ok, n
-        assert not find_k_fans(d.graph, compute_crossings(d), 2), n
-    k6 = fc.gen_straight_extremal(6)
-    complete = {frozenset(e) for e in k6.graph.edges} == {
-        frozenset((u, v)) for u in range(6) for v in range(u + 1, 6)
-    }
-    _report("C5", complete, f"{len(STRAIGHT_SIZES)} sizes at exactly 4n-9 edges, simple, fan-free; n=6 is K_6")
+    _report_claims("C5", claim_straight_family(STRAIGHT_SIZES), 120.0)
 
 
 def test_c06_decomposition_audit():
-    audited = 0
-    for n in STRAIGHT_SIZES:
-        rep = fd.audit(fc.gen_straight_extremal(n), 2)
-        assert rep.ok, (n, rep.falsifications)
-        assert rep.sum_complexity_ok and rep.sum_chains_ok and rep.euler_ok, n
-        arrows = sorted(fa.arrows for fa in rep.face_audits)
-        assert arrows == [0, 0] + [1] * (rep.faces - 2), n
-        audited += 1
-    rng = random.Random(612612)
-    for _ in range(200):
-        rep = fd.audit(random_fan_free_drawing(rng), 2)
-        assert rep.ok, rep.falsifications
-        audited += 1
-    # abstract quad family: greedy H is a triangulation whose every triangle
-    # carries exactly one arrow
-    for n in QUAD_SIZES:
-        d = fc.gen_quad_extremal(n)
-        h, k = fd.maximal_plane_subgraph(d.graph, d.crossings)
-        assert len(h) == 3 * n - 6, n
-        _q, faces = fc.quad_extremal_parts(n)
-        tri_arrows: dict = {}
-        for i, (p, q, r, s) in enumerate(faces):
-            # the face's first diagonal joins p and r and lands in H; the
-            # excluded one contributes one arrow on each side of it
-            assert 2 * n - 4 + 2 * i in h and 2 * n - 4 + 2 * i + 1 in k, n
-            for tri in ((p, q, r), (p, r, s)):
-                key = tuple(sorted(tri))
-                assert key not in tri_arrows, n
-                tri_arrows[key] = 1
-        assert len(tri_arrows) == 2 * n - 4, n
-    _report("C6", True, f"{audited} coordinate audits pass; quad skeleton triangles carry one arrow each")
+    _report_claims("C6", claim_audit(STRAIGHT_SIZES, samples=200, seed=612612), 300.0)
 
 
 def test_c07_k_at_least_three_families():
-    details = []
-    for k in (3, 4, 5):
-        d = fc.gen_grid(10, k)
-        n, e = d.graph.n, len(d.graph.edges)
-        assert not find_k_fans(d.graph, compute_crossings(d), k), k
-        assert grid_floor_ok(e, n, k), k
-        assert e <= 3 * (k - 1) * (n - 2), k
-        details.append(f"grid k={k}: {e} edges")
-    for q in range(4, 9):
-        d = fc.gen_kq_subdivision(q)
-        assert d.graph.n == q + q * (q - 1), q
-        assert len(d.graph.edges) == 3 * q * (q - 1) // 2, q
-        assert not find_k_fans(d.graph, compute_crossings(d), 2), q
-    details.append("subdivided K_q verified for q=4..8")
-    _report("C7", True, "; ".join(details))
+    _report_claims("C7", claim_k_families(), 120.0)
 
 
 def test_c08_bounds_table_and_nonexistence():
-    _report_claims("C8", claim_bounds_table(), True)
+    _report_claims("C8", claim_bounds_table(), 60.0)
 
 
 def test_c09_oracle_equivalence():
-    _report_claims("C9", claim_oracle(500, 909090), True)
+    _report_claims("C9", claim_oracle(500, 909090), 300.0)
 
 
 def test_c10_falsification_guard():
-    # every verified drawing produced in this suite sits within its bound
-    for n in (8, 20, 41, 60):
-        rep = fb.check_graph_against_bounds(fc.gen_quad_extremal(n), 2)
-        assert not rep.falsification and rep.verdict == "extremal", n
-    for n in (6, 23, 60):
-        rep = fb.check_graph_against_bounds(fc.gen_straight_extremal(n), 2, straight=True)
-        assert not rep.falsification, n
-    # and the guard itself trips on a fabricated impossible input
-    k7 = Graph(7, tuple((u, v) for u in range(7) for v in range(u + 1, 7)))
-    lying = AbstractDrawing(k7, CrossingRelation(), "external")
-    rep = fb.check_graph_against_bounds(lying, 2)
-    assert rep.falsification
-    _report("C10", True, "no genuine falsifications; fabricated counterexample is flagged")
+    _report_claims("C10", claim_falsification_guard((6, 8, 20, 23, 41, 60)), 120.0)

@@ -93,21 +93,19 @@ def test_render_svg_structure(tmp_path):
 
 
 def test_repro_fast_battery_known_status(tmp_path):
-    # three published star-class rows disagree with exhaustive search (see
-    # README); the battery reports exactly those as FAIL and exits 1
+    # every claim passes; the three base-case rows off the reference table
+    # (see README, "Base-case table") pass on their certificates, which
+    # their details name
     out = tmp_path / "claims.json"
-    code = main(["repro", "--out", str(out)])
-    assert code == 1
+    assert main(["repro", "--out", str(out)]) == 0
     claims = json.loads(out.read_text())["claims"]
-    failing = sorted(c["name"] for c in claims if c["status"] == "fail")
-    assert failing == [
-        "star classes: A(2,1,0) at k=3 equals 2",
-        "star classes: A(2,1,1) at k=3 equals 4",
-        "star classes: A(3,1,0) at k=3 equals 4",
+    assert all(c["status"] == "pass" for c in claims)
+    certified = sorted(c["name"] for c in claims if "certified" in c["detail"])
+    assert certified == [
+        "star classes: A(2,1,0) at k=3 against reference 2",
+        "star classes: A(2,1,1) at k=3 against reference 4",
+        "star classes: A(3,1,0) at k=3 against reference 4",
     ]
-    assert all(
-        c["status"] == "pass" for c in claims if c["name"] not in failing
-    )
 
 
 def test_repro_with_tiny_budget_is_inconclusive(tmp_path):
@@ -134,3 +132,41 @@ def test_fault_injection_fails_the_battery(monkeypatch):
     monkeypatch.setattr(fb, "upper_bound", broken)
     claims = claim_bounds_table()
     assert claims[0].status == "fail"
+
+
+def test_base_case_faults_fail_their_claims(monkeypatch):
+    # a reference raised by one, witnesses whose realizations report a fan,
+    # and an enumerator that disagrees with the search each fail their rows
+    import fanfree.repro as fr
+    import fanfree.star as fs
+
+    def failing_rows():
+        claims = fr.claim_base_cases(3)
+        return [c.name.split()[2] for c in claims if c.status == "fail"]
+
+    formula = fs.base_case_formula
+    monkeypatch.setattr(fs, "base_case_formula", lambda h, lam, nu, k: (
+        formula(h, lam, nu, k) + ((h, lam, nu) == (3, 0, 0))))
+    assert failing_rows() == ["A(3,0,0)"]
+    monkeypatch.undo()
+
+    monkeypatch.setattr(fr, "find_k_fans", lambda g, c, k: ["a fan"])
+    assert failing_rows() == ["A(3,1,0)", "A(2,1,1)"]
+    monkeypatch.undo()
+
+    table = fr.brute_class_table
+    monkeypatch.setattr(fr, "brute_class_table", lambda m, k: {**table(m, k), (4, 0, 0): 5})
+    assert failing_rows() == ["A(4,0,0)"]
+
+
+def test_malformed_input_is_exit_2(tmp_path):
+    # rejected by the loader, before any check can read past the graph
+    coords = [[0, 1, 0, 1], [1, 1, 0, 1], [0, 1, 1, 1]]
+    for data in (
+        {"n": 3, "edges": [[-1, 2]], "coords": coords},
+        {"n": 3, "edges": [[0, 0]], "coords": coords},
+        {"n": 4, "edges": [[0, 1], [2, 3]], "crossings": [[0, 5]]},
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", "--input", str(path), "--k", "2"]) == 2, data

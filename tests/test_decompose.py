@@ -53,7 +53,7 @@ def test_greedy_is_maximal():
 
 
 def test_trace_faces_triangle(triangle):
-    faces = trace_faces(triangle, [0, 1, 2]).faces
+    faces = trace_faces(triangle, [0, 1, 2], compute_crossings(triangle)).faces
     assert [(f.bounded, f.complexity, f.chains) for f in faces] == [
         (True, 3, 1),
         (False, 3, 1),
@@ -65,7 +65,7 @@ def test_trace_faces_disjoint_triangles():
         Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))),
         (F(0, 0), F(4, 0), F(0, 4), F(10, 0), F(14, 0), F(10, 4)),
     )
-    faces = trace_faces(d, list(range(6))).faces
+    faces = trace_faces(d, list(range(6)), compute_crossings(d)).faces
     outer = [f for f in faces if not f.bounded][0]
     assert (outer.complexity, outer.chains) == (6, 2)
     assert sorted((f.complexity, f.chains) for f in faces if f.bounded) == [
@@ -75,21 +75,21 @@ def test_trace_faces_disjoint_triangles():
 
 def test_trace_faces_path():
     d = StraightLineDrawing(Graph(3, ((0, 1), (1, 2))), (F(0, 0), F(4, 0), F(8, 1)))
-    faces = trace_faces(d, [0, 1]).faces
+    faces = trace_faces(d, [0, 1], compute_crossings(d)).faces
     assert [(f.bounded, f.complexity, f.chains) for f in faces] == [(False, 4, 1)]
 
 
 def test_trace_faces_rejects_crossing_input():
     d = x_drawing()
     with pytest.raises(ValueError):
-        trace_faces(d, [0, 1])
+        trace_faces(d, [0, 1], compute_crossings(d))
 
 
 def test_arrowize_x_crossing():
     d = x_drawing()
     c = compute_crossings(d)
     h, k = maximal_plane_subgraph(d.graph, c)
-    faceset = trace_faces(d, h)
+    faceset = trace_faces(d, h, c)
     records = arrowize(d, h, k, faceset, c)
     assert len(records) == 2  # one arrow per endpoint of the excluded edge
     assert {r.start for r in records} == {1, 3}
@@ -102,7 +102,7 @@ def test_arrow_faces_touch_their_start_vertex():
         d = random_fan_free_drawing(rng)
         c = compute_crossings(d)
         h, k = maximal_plane_subgraph(d.graph, c)
-        faceset = trace_faces(d, h)
+        faceset = trace_faces(d, h, c)
         for rec in arrowize(d, h, k, faceset, c):
             face = faceset.faces[rec.face]
             verts = set(face.isolated)
@@ -179,8 +179,12 @@ def test_trace_faces_with_relation_rejects_crossing_pair():
     c = compute_crossings(d)
     with pytest.raises(ValueError):
         trace_faces(d, [0, 1], c)
-    with_c = trace_faces(d, [0], c).faces
-    assert with_c == trace_faces(d, [0]).faces
+    # a pair with one edge outside H is allowed: H = {0} leaves one face,
+    # holding the segment and the two endpoints of edge 1 as isolated vertices
+    faces = trace_faces(d, [0], c).faces
+    assert [(f.bounded, f.complexity, f.chains, f.isolated) for f in faces] == [
+        (False, 2, 3, (1, 3))
+    ]
 
 
 def test_audit_computes_the_crossing_relation_once(monkeypatch):

@@ -13,7 +13,6 @@ from fanfree.star import (
     bound_b,
     canonical_form,
     classify_vertices,
-    fan_witnesses,
     is_fan_free,
     max_arrows,
     realize_star,
@@ -27,7 +26,9 @@ from fanfree.star import (
     verify_base_cases,
 )
 
-from conftest import brute_class_table, random_star
+from fanfree.repro import brute_class_table
+
+from conftest import random_star
 
 
 # -- refined cycle and crossing predicate -----------------------------------
@@ -87,9 +88,10 @@ def test_malformed_stars_are_rejected():
         StarConfig(4, ((0, 1, 1),)),  # slots skip 0
     ):
         message = re.escape(validate_star(s))
-        for check in (is_fan_free, fan_witnesses):
-            with pytest.raises(ValueError, match=message):
-                check(s, 2)
+        with pytest.raises(ValueError, match=message):
+            star_drawing(s)
+        with pytest.raises(ValueError, match=message):
+            is_fan_free(s, 2)
 
 
 # -- fan-freeness ------------------------------------------------------------
@@ -109,9 +111,10 @@ def test_triangle_three_arrows_fan_free_at_three():
 
 
 def test_same_pair_multiplicity_fanned_by_exit_edge():
-    s = StarConfig(3, ((0, 1, 0), (0, 1, 1)))
-    fans = fan_witnesses(s, 2)
-    assert any(w.crosser == ("edge", 1) and w.apex == 0 for w in fans)
+    # boundary edge e_1 crosses both copies of the arrow at their start v_0
+    d = star_drawing(StarConfig(3, ((0, 1, 0), (0, 1, 1))))
+    fans = find_k_fans(d.graph, d.crossings, 2)
+    assert any(w.crosser == 1 and w.apex == 0 for w in fans)
 
 
 # -- lengths, witnesses, classification --------------------------------------
@@ -279,17 +282,6 @@ def test_brute_force_enumeration_confirms_search_class_table():
     assert table4[(3, 1, 0)] == 5 and table4[(2, 1, 1)] == 5
 
 
-def test_disputed_base_cases_have_geometric_witnesses():
-    """The two above-published maxima are backed by exact straight-line
-    realizations checked by the independent segment pipeline."""
-    for klass, expect in (((3, 1, 0), 5), ((2, 1, 1), 5)):
-        res = max_arrows(4, 3, vertex_class=klass)
-        assert res.maximum == expect
-        cfg = res.configs[0]
-        d = realize_star(cfg)
-        assert not find_k_fans(d.graph, compute_crossings(d), 3)
-
-
 # -- invariants and properties ------------------------------------------------
 
 def test_monotonicity_subconfigs_stay_fan_free():
@@ -325,9 +317,9 @@ def test_extremal_configs_closed_under_rotation():
 
 
 def test_geometric_soundness_of_combinatorial_crossing():
-    """Straight-line realizations agree with the combinatorial predicate on
-    every arrow pair, and the drawing-level fan detector agrees with the
-    star-level one, witnesses included."""
+    """Straight-line realizations have the graph and crossing relation of
+    ``star_drawing``, so the combinatorial predicate on every arrow pair and
+    ``is_fan_free`` agree with the geometry."""
     rng = random.Random(31415)
     for _ in range(25):
         m = rng.randint(3, 7)
@@ -352,16 +344,7 @@ def test_geometric_soundness_of_combinatorial_crossing():
         }
         assert geo == comb
         for kk in (2, 3, 4):
-            drawing_fans = {
-                (w.crosser, w.apex)
-                for w in find_k_fans(d.graph, rel, kk)
-            }
-            star_fans = set()
-            for w in fan_witnesses(s, kk):
-                kind, idx = w.crosser
-                crosser = idx if kind == "edge" else m + idx
-                star_fans.add((crosser, w.apex))
-            assert drawing_fans == star_fans
+            assert is_fan_free(s, kk) == (not find_k_fans(d.graph, rel, kk))
 
 
 def test_witness_uniqueness_in_fan_free_configs():
