@@ -5,6 +5,7 @@ from .model import (
     CrossingRelation,
     FanWitness,
     Graph,
+    InputError,
     StraightLineDrawing,
     from_json_dict,
     load,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import AbstractDrawing, Graph, StraightLineDrawing
-from .crossings import crossings_of, find_k_fans
+from .crossings import find_k_fans
 
 
 def upper_bound(n: int, k: int, straight: bool = False) -> int:
@@ -106,22 +106,13 @@ def check_graph_against_bounds(
     """Compare an input's edge count with the proven bounds; drawings are
     additionally fan-checked, and a verified fan-free drawing above a
     proven bound is flagged as a falsification."""
-    if isinstance(obj, Graph):
-        g, drawing = obj, None
-        if straight is None:
-            straight = False
-    else:
-        g = obj.graph
-        drawing = obj
-        if straight is None:
-            straight = isinstance(obj, StraightLineDrawing)
+    if straight is None:
+        straight = isinstance(obj, StraightLineDrawing)
+    g = obj if isinstance(obj, Graph) else obj.graph
     bound = upper_bound(g.n, k, straight)
     exact = exact_extremal_k2(g.n)[0] if k == 2 else None
     m = len(g.edges)
-    fan_free = None
-    if drawing is not None:
-        gg, rel = crossings_of(drawing)
-        fan_free = not find_k_fans(gg, rel, k)
+    fan_free = None if isinstance(obj, Graph) else not find_k_fans(g, obj.crossings, k)
     limit = exact if (k == 2 and not straight and exact is not None) else bound
     falsification = bool(fan_free) and m > limit
     if falsification:

@@ -2,7 +2,8 @@
 bound reports, SVG rendering, and the reproduction battery.
 
 Exit codes: 0 success / all pass, 1 violation or witness found, 2 usage
-error, 3 search budget exhausted (inconclusive).
+error or rejected input, 3 search budget exhausted (inconclusive),
+4 internal error (an exception the program did not expect).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from . import bounds as _bounds
@@ -18,7 +20,7 @@ from . import constructions as _con
 from . import decompose as _dec
 from . import repro as _repro
 from . import star as _star
-from .crossings import compute_crossings, crossings_of, find_k_fans, integer_points
+from .crossings import find_k_fans, integer_points
 from .model import (
     AbstractDrawing,
     Graph,
@@ -32,6 +34,7 @@ EXIT_OK = 0
 EXIT_WITNESS = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _env_budget() -> int | None:
@@ -67,7 +70,7 @@ def cmd_check(args) -> int:
     if isinstance(obj, Graph):
         print("input has no drawing data (coords or crossings)", file=sys.stderr)
         return EXIT_USAGE
-    g, rel = crossings_of(obj)
+    g, rel = obj.graph, obj.crossings
     fans = find_k_fans(g, rel, args.k)
     payload = {
         "schema": 1,
@@ -207,7 +210,6 @@ def render_svg(d: StraightLineDrawing, size: int = 800, margin: int = 20) -> str
     """SVG 1.1 rendering: one circle per vertex, one line per edge, one
     marker per crossing of the exact relation.  Floats appear only here,
     after every decision has been made exactly."""
-    rel = compute_crossings(d)
     pts = integer_points(d)
     xs = [x for x, _y in d.coords]
     ys = [y for _x, y in d.coords]
@@ -231,7 +233,7 @@ def render_svg(d: StraightLineDrawing, size: int = 800, margin: int = 20) -> str
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             f'stroke="#365f91" stroke-width="1.2"/>'
         )
-    for i, j in sorted(rel.pairs):
+    for i, j in sorted(d.crossings.pairs):
         x, y = px(_segment_intersection(d, pts, i, j))
         parts.append(
             f'<rect x="{x - 2.5:.2f}" y="{y - 2.5:.2f}" width="5" height="5" '
@@ -362,6 +364,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a bug, not a verdict: report it without the witness exit code
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -8,6 +8,7 @@ verification failure is a construction bug or a falsification and raises.
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction
 from math import gcd
 
@@ -18,7 +19,7 @@ from .model import (
     StraightLineDrawing,
     validate_graph,
 )
-from .crossings import compute_crossings, find_k_fans, validate_simplicity
+from .crossings import SimplicityError, find_k_fans
 
 
 class ConstructionError(RuntimeError):
@@ -28,6 +29,15 @@ class ConstructionError(RuntimeError):
 def _check(cond: bool, what: str):
     if not cond:
         raise ConstructionError(f"self-verification failed: {what}")
+
+
+def _simple_crossings(d: StraightLineDrawing, what: str) -> CrossingRelation:
+    """``d.crossings`` of a generated drawing; one that is not simple is a
+    construction bug, so its SimplicityError becomes a ConstructionError."""
+    try:
+        return d.crossings
+    except SimplicityError as exc:
+        raise ConstructionError(f"self-verification failed: {what}: {exc}") from exc
 
 
 def is_bipartite(n: int, edges) -> bool:
@@ -210,9 +220,7 @@ def gen_straight_extremal(n: int) -> StraightLineDrawing:
     _check(validate_graph(g) is None, f"straight-extremal n={n} graph invalid")
     _check(len(edges) == 4 * n - 9, f"straight-extremal n={n} edge count")
     d = StraightLineDrawing(g, tuple(coords))
-    rep = validate_simplicity(d)
-    _check(rep.ok, f"straight-extremal n={n} not simple: {rep.violations[:3]}")
-    rel = compute_crossings(d)
+    rel = _simple_crossings(d, f"straight-extremal n={n}")
     _check(
         rel.pairs == frozenset(expected_pairs),
         f"straight-extremal n={n} crossing pattern is not one pair per face",
@@ -284,9 +292,7 @@ def gen_grid(side: int, k: int) -> StraightLineDrawing:
     g = Graph(n, tuple(edges))
     _check(validate_graph(g) is None, f"grid side={side} k={k} graph invalid")
     d = StraightLineDrawing(g, coords)
-    rep = validate_simplicity(d)
-    _check(rep.ok, f"grid side={side} k={k} not simple")
-    fans = find_k_fans(g, compute_crossings(d), k)
+    fans = find_k_fans(g, _simple_crossings(d, f"grid side={side} k={k}"), k)
     _check(not fans, f"grid side={side} k={k} has a {k}-fan: {fans[:1]}")
     return d
 
@@ -320,8 +326,8 @@ def gen_kq_subdivision(q: int) -> StraightLineDrawing:
             edges += [(u, x_id), (x_id, y_id), (y_id, v)]
         g = Graph(n, tuple(edges))
         d = StraightLineDrawing(g, tuple(coords))
-        if validate_simplicity(d).ok:
-            if not find_k_fans(g, compute_crossings(d), 2):
+        with contextlib.suppress(SimplicityError):
+            if not find_k_fans(g, d.crossings, 2):
                 _check(len(edges) == 3 * len(chords), "subdivision edge count")
                 return d
         eps /= 2
@@ -374,8 +380,6 @@ def gen_tri_plus_dual(rows: int, cols: int) -> StraightLineDrawing:
     _check(validate_graph(g) is None, "tri-plus-dual graph invalid")
     _check(len(edges) <= 6 * n - 12, "tri-plus-dual exceeds 6n-12 edges")
     d = StraightLineDrawing(g, coords)
-    rep = validate_simplicity(d)
-    _check(rep.ok, "tri-plus-dual not simple")
-    fans = find_k_fans(g, compute_crossings(d), 4)
+    fans = find_k_fans(g, _simple_crossings(d, "tri-plus-dual"), 4)
     _check(not fans, f"tri-plus-dual has a 4-fan: {fans[:1]}")
     return d

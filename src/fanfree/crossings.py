@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from math import lcm
 
 from .model import (
-    AbstractDrawing,
     CrossingRelation,
     FanWitness,
     Graph,
@@ -235,13 +234,8 @@ def find_k_fans(g: Graph, c: CrossingRelation, k: int) -> list[FanWitness]:
 
 def crossings_of(d) -> tuple[Graph, CrossingRelation]:
     """Graph and crossing relation of either drawing flavour."""
-    if isinstance(d, AbstractDrawing):
-        return d.graph, d.crossings
-    if isinstance(d, StraightLineDrawing):
-        return d.graph, compute_crossings(d)
-    raise TypeError(f"not a drawing: {type(d).__name__}")
+    return d.graph, d.crossings
 
 
 def is_k_fan_free(d, k: int) -> bool:
-    g, c = crossings_of(d)
-    return not find_k_fans(g, c, k)
+    return not find_k_fans(d.graph, d.crossings, k)

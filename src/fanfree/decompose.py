@@ -20,13 +20,7 @@ from .model import (
     StraightLineDrawing,
 )
 from .bounds import upper_bound
-from .crossings import (
-    compute_crossings,
-    find_k_fans,
-    integer_points,
-    orient,
-    validate_simplicity,
-)
+from .crossings import find_k_fans, integer_points, orient
 
 
 def maximal_plane_subgraph(
@@ -111,16 +105,14 @@ class FaceSet:
     rotation: list  # vertex -> ccw-sorted (neighbor, edge index) of H
 
 
-def trace_faces(
-    d: StraightLineDrawing, h_edges: list[int], c: CrossingRelation
-) -> FaceSet:
+def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
     """Faces of the plane subgraph: rotation-system walks grouped into
-    faces by exact containment.  The drawing must be simple (``audit``
-    validates it first) and ``c`` is its crossing relation.  Fails loudly
-    if a pair of ``c`` has both edges in H."""
+    faces by exact containment.  The drawing must be simple (reading
+    ``d.crossings`` raises otherwise).  Fails loudly if a crossing pair has
+    both edges in H."""
     g = d.graph
     in_h = set(h_edges)
-    if any(i in in_h and j in in_h for i, j in c.pairs):
+    if any(i in in_h and j in in_h for i, j in d.crossings.pairs):
         raise ValueError("trace_faces requires a crossing-free edge set")
 
     pts = integer_points(d)
@@ -286,12 +278,11 @@ def arrowize(
     h_edges: list[int],
     k_edges: list[int],
     faceset: FaceSet,
-    c: CrossingRelation,
 ) -> list[ArrowRecord]:
     """Two arrows per excluded edge, each assigned to the face of H that
-    contains the initial segment at its endpoint.  ``c`` is the drawing's
-    crossing relation."""
+    contains the initial segment at its endpoint."""
     g = d.graph
+    c = d.crossings
     pts = integer_points(d)
     in_h = set(h_edges)
     records = []
@@ -385,22 +376,20 @@ def face_arrow_bound(complexity: int, chains: int, k: int) -> int:
 def audit(d: StraightLineDrawing, k: int = 2) -> DecompositionReport:
     """Full decomposition audit of a k-fan-crossing free straight-line
     drawing.  Any failed face bound, broken counting identity, or edge
-    bound violation is recorded as a falsification."""
+    bound violation is recorded as a falsification.  A drawing that is not
+    simple raises SimplicityError from ``d.crossings``."""
     g = d.graph
     if g.n < 3:
         raise ValueError("audit needs n >= 3 (the bounds assume it)")
-    rep = validate_simplicity(d)
-    if not rep.ok:
-        raise ValueError(f"drawing is not simple: {rep.violations[0]}")
-    c = compute_crossings(d)
+    c = d.crossings
     fans = find_k_fans(g, c, k)
     if fans:
         raise ValueError(
             f"drawing is not {k}-fan-crossing free (witness: {fans[0]})"
         )
     h_edges, k_edges = maximal_plane_subgraph(g, c)
-    faceset = trace_faces(d, h_edges, c)
-    arrows = arrowize(d, h_edges, k_edges, faceset, c)
+    faceset = trace_faces(d, h_edges)
+    arrows = arrowize(d, h_edges, k_edges, faceset)
 
     falsifications: list[str] = []
     per_face: dict[int, int] = {}

@@ -20,11 +20,13 @@ Coord = tuple[Fraction, Fraction]
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple abstract graph on vertices 0..n-1 with indexed edges.
+    """Abstract graph on vertices 0..n-1 with indexed edges.
 
     Edges are stored canonically as (min, max) pairs in input order; the
     position of a pair is its stable edge index.  Isolated vertices are
-    allowed.
+    allowed.  An endpoint outside [0, n) raises ValueError on construction;
+    self-loops and duplicate edges are representable, and ``validate_graph``
+    reports them.
     """
 
     n: int
@@ -34,6 +36,11 @@ class Graph:
         canon = tuple(
             (int(u), int(v)) if u <= v else (int(v), int(u)) for u, v in self.edges
         )
+        for i, (u, v) in enumerate(canon):
+            if u < 0 or v >= self.n:
+                raise ValueError(
+                    f"edge {i} = ({u}, {v}) has a vertex outside [0, {self.n})"
+                )
         object.__setattr__(self, "edges", canon)
 
     def edge_count(self) -> int:
@@ -57,8 +64,6 @@ def validate_graph(g: Graph) -> str | None:
     for i, (u, v) in enumerate(g.edges):
         if u == v:
             return f"edge {i} is a self-loop at vertex {u}"
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            return f"edge {i} = ({u}, {v}) has a vertex outside [0, {g.n})"
         if (u, v) in seen:
             return f"edge {i} = ({u}, {v}) duplicates an earlier edge"
         seen.add((u, v))
@@ -133,6 +138,19 @@ class StraightLineDrawing:
                 f"{len(pts)} coordinate pairs for {self.graph.n} vertices"
             )
 
+    @cached_property
+    def crossings(self) -> CrossingRelation:
+        """The exact crossing relation, computed on first use and kept.  Only
+        a simple drawing has one: otherwise this raises SimplicityError (a
+        ValueError) naming the first violation of ``validate_simplicity``."""
+        from . import crossings as _cr  # not at the top: crossings imports model
+
+        rep = _cr.validate_simplicity(self)
+        if not rep.ok:
+            first = rep.violations[0]
+            raise _cr.SimplicityError(*first, f"drawing is not simple: {first}")
+        return _cr.compute_crossings(self)
+
 
 @dataclass(frozen=True)
 class AbstractDrawing:
@@ -187,22 +205,61 @@ def to_json_dict(obj: Graph | Drawing) -> dict:
     return out
 
 
-def from_json_dict(data: dict) -> Graph | Drawing:
-    """Inverse of ``to_json_dict``.  Raises ValueError for a graph that
-    fails ``validate_graph`` or crossings that fail ``validate_crossings``."""
-    g = Graph(data["n"], tuple((u, v) for u, v in data["edges"]))
+class InputError(ValueError):
+    """A malformed interchange document."""
+
+
+def _int_rows(value, what: str, width: int) -> list:
+    """``value`` itself if it is a list of rows of ``width`` integers,
+    otherwise InputError."""
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, got {type(value).__name__}")
+    for i, row in enumerate(value):
+        if not isinstance(row, list) or len(row) != width or set(map(type, row)) != {int}:
+            raise InputError(f"{what}[{i}] must be a list of {width} integers, got {row!r}")
+    return value
+
+
+def from_json_dict(data) -> Graph | Drawing:
+    """Inverse of ``to_json_dict``.  Raises InputError for a malformed
+    document: not an object, no integer ``n`` or no ``edges``, a row that is
+    not a list of integers of the right length (a float included), a zero
+    denominator, a vertex outside [0, n), a graph that fails
+    ``validate_graph``, crossings that fail ``validate_crossings``, or a
+    provenance that is not a string."""
+    if not isinstance(data, dict):
+        raise InputError(f"the document must be a JSON object, got {type(data).__name__}")
+    for key in ("n", "edges"):
+        if key not in data:
+            raise InputError(f"the document has no {key!r}")
+    if type(data["n"]) is not int:
+        raise InputError(f"n must be an integer, got {data['n']!r}")
+    edges = tuple(map(tuple, _int_rows(data["edges"], "edges", 2)))
+    try:
+        g = Graph(data["n"], edges)
+    except ValueError as exc:  # a vertex outside [0, n)
+        raise InputError(str(exc)) from None
     if problem := validate_graph(g):
-        raise ValueError(problem)
-    if "coords" in data and data["coords"] is not None:
-        coords = tuple(
-            (Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in data["coords"]
+        raise InputError(problem)
+    if data.get("coords") is not None:
+        rows = _int_rows(data["coords"], "coords", 4)
+        for i, (_xn, xd, _yn, yd) in enumerate(rows):
+            if xd == 0 or yd == 0:
+                raise InputError(f"coords[{i}] has a zero denominator")
+        if len(rows) != g.n:
+            raise InputError(f"{len(rows)} coordinate rows for {g.n} vertices")
+        return StraightLineDrawing(
+            g, tuple((Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in rows)
         )
-        return StraightLineDrawing(g, coords)
-    if "crossings" in data and data["crossings"] is not None:
-        rel = CrossingRelation(frozenset((i, j) for i, j in data["crossings"]))
+    if data.get("crossings") is not None:
+        pairs = _int_rows(data["crossings"], "crossings", 2)
+        rel = CrossingRelation(frozenset(map(tuple, pairs)))
         if problem := validate_crossings(g, rel):
-            raise ValueError(problem)
-        return AbstractDrawing(g, rel, data.get("provenance", "external"))
+            raise InputError(problem)
+        provenance = data.get("provenance", "external")
+        if not isinstance(provenance, str):
+            raise InputError(f"provenance must be a string, got {provenance!r}")
+        return AbstractDrawing(g, rel, provenance)
     return g
 
 

@@ -14,6 +14,7 @@ refined boundary cycle.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -312,10 +313,9 @@ def realize_star(s: StarConfig) -> StraightLineDrawing:
             qx, qy = exit_pts[idx]
             coords.append((qx + eps * (qx - sx), qy + eps * (qy - sy)))
         drawing = StraightLineDrawing(g, tuple(coords))
-        if _cr.validate_simplicity(drawing).ok:
-            rel = _cr.compute_crossings(drawing)
+        with contextlib.suppress(_cr.SimplicityError):
             if all(
-                [x for x in rel.crossed_by(m + idx) if x < m] == [e]
+                [x for x in drawing.crossings.crossed_by(m + idx) if x < m] == [e]
                 for idx, (_a, e, _t) in enumerate(s.arrows)
             ):
                 return drawing

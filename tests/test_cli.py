@@ -159,14 +159,60 @@ def test_base_case_faults_fail_their_claims(monkeypatch):
     assert failing_rows() == ["A(4,0,0)"]
 
 
-def test_malformed_input_is_exit_2(tmp_path):
-    # rejected by the loader, before any check can read past the graph
+def test_malformed_input_is_exit_2(tmp_path, capsys):
+    # rejected by the loader, before any check can read past the graph, with
+    # a message that names the problem and no traceback
     coords = [[0, 1, 0, 1], [1, 1, 0, 1], [0, 1, 1, 1]]
-    for data in (
-        {"n": 3, "edges": [[-1, 2]], "coords": coords},
-        {"n": 3, "edges": [[0, 0]], "coords": coords},
-        {"n": 4, "edges": [[0, 1], [2, 3]], "crossings": [[0, 5]]},
+    for data, message in (
+        ({"n": 3, "edges": [[-1, 2]], "coords": coords}, "outside [0, 3)"),
+        ({"n": 3, "edges": [[0, 0]], "coords": coords}, "self-loop"),
+        ({"n": 4, "edges": [[0, 1], [2, 3]], "crossings": [[0, 5]]},
+         "outside the edge range"),
+        ([{"n": 3, "edges": []}], "must be a JSON object, got list"),
+        ({"edges": [[0, 1]], "coords": coords}, "has no 'n'"),
+        ({"n": 3, "coords": coords}, "has no 'edges'"),
+        ({"n": 3, "edges": [[0, 1]], "coords": [[0, 0, 0, 1]] + coords[1:]},
+         "coords[0] has a zero denominator"),
+        ({"n": 3, "edges": [[0, 1]], "coords": [[0.5, 1, 0, 1]] + coords[1:]},
+         "coords[0] must be a list of 4 integers"),
+        ({"n": 3, "edges": [[0, 1]], "coords": [[0, 1, 0]] + coords[1:]},
+         "coords[0] must be a list of 4 integers"),
+        ({"n": 3, "edges": [[0, 1]], "coords": coords[1:]}, "2 coordinate rows for 3 vertices"),
+        ({"n": 2, "edges": [[0, 1]], "crossings": [], "provenance": [1]},
+         "provenance must be a string"),
     ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        assert main(["check", "--input", str(path), "--k", "2"]) == 2, data
+        for command in ("check", "audit"):
+            assert main([command, "--input", str(path)]) == 2, (command, data)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err, (command, err)
+
+
+def test_non_simple_drawing_is_exit_2_everywhere(tmp_path, capsys):
+    # two vertices on one point: no command reads a crossing relation of it
+    path = tmp_path / "coincident.json"
+    path.write_text(json.dumps({
+        "n": 4, "edges": [[0, 1], [2, 3]],
+        "coords": [[0, 1, 0, 1], [2, 1, 0, 1], [0, 1, 0, 1], [1, 1, 3, 1]],
+    }))
+    for argv in (
+        ["check", "--input", str(path)],
+        ["bounds", "--input", str(path)],
+        ["render", "--input", str(path), "--out", str(tmp_path / "d.svg")],
+        ["audit", "--input", str(path)],
+    ):
+        assert main(argv) == 2, argv
+        assert "not simple" in capsys.readouterr().err, argv
+
+
+def test_unexpected_exception_is_exit_4(monkeypatch, capsys):
+    # an internal fault must not look like a witness (exit 1)
+    import fanfree.cli as cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("slot")
+
+    monkeypatch.setattr(cli._star, "max_arrows", broken)
+    assert main(["star-search", "--m", "3"]) == 4
+    assert "internal error: KeyError" in capsys.readouterr().err

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
-from fanfree.crossings import compute_crossings
-from fanfree.constructions import gen_quad_extremal, gen_straight_extremal
+from fanfree.crossings import SimplicityError, compute_crossings
+from fanfree.constructions import gen_grid, gen_quad_extremal, gen_straight_extremal
 from fanfree.decompose import (
     arrowize,
     audit,
@@ -53,7 +54,7 @@ def test_greedy_is_maximal():
 
 
 def test_trace_faces_triangle(triangle):
-    faces = trace_faces(triangle, [0, 1, 2], compute_crossings(triangle)).faces
+    faces = trace_faces(triangle, [0, 1, 2]).faces
     assert [(f.bounded, f.complexity, f.chains) for f in faces] == [
         (True, 3, 1),
         (False, 3, 1),
@@ -65,7 +66,7 @@ def test_trace_faces_disjoint_triangles():
         Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))),
         (F(0, 0), F(4, 0), F(0, 4), F(10, 0), F(14, 0), F(10, 4)),
     )
-    faces = trace_faces(d, list(range(6)), compute_crossings(d)).faces
+    faces = trace_faces(d, list(range(6))).faces
     outer = [f for f in faces if not f.bounded][0]
     assert (outer.complexity, outer.chains) == (6, 2)
     assert sorted((f.complexity, f.chains) for f in faces if f.bounded) == [
@@ -75,22 +76,21 @@ def test_trace_faces_disjoint_triangles():
 
 def test_trace_faces_path():
     d = StraightLineDrawing(Graph(3, ((0, 1), (1, 2))), (F(0, 0), F(4, 0), F(8, 1)))
-    faces = trace_faces(d, [0, 1], compute_crossings(d)).faces
+    faces = trace_faces(d, [0, 1]).faces
     assert [(f.bounded, f.complexity, f.chains) for f in faces] == [(False, 4, 1)]
 
 
 def test_trace_faces_rejects_crossing_input():
     d = x_drawing()
     with pytest.raises(ValueError):
-        trace_faces(d, [0, 1], compute_crossings(d))
+        trace_faces(d, [0, 1])
 
 
 def test_arrowize_x_crossing():
     d = x_drawing()
-    c = compute_crossings(d)
-    h, k = maximal_plane_subgraph(d.graph, c)
-    faceset = trace_faces(d, h, c)
-    records = arrowize(d, h, k, faceset, c)
+    h, k = maximal_plane_subgraph(d.graph, d.crossings)
+    faceset = trace_faces(d, h)
+    records = arrowize(d, h, k, faceset)
     assert len(records) == 2  # one arrow per endpoint of the excluded edge
     assert {r.start for r in records} == {1, 3}
     assert all(r.first_hit == 0 for r in records)
@@ -100,10 +100,9 @@ def test_arrow_faces_touch_their_start_vertex():
     rng = random.Random(12)
     for _ in range(25):
         d = random_fan_free_drawing(rng)
-        c = compute_crossings(d)
-        h, k = maximal_plane_subgraph(d.graph, c)
-        faceset = trace_faces(d, h, c)
-        for rec in arrowize(d, h, k, faceset, c):
+        h, k = maximal_plane_subgraph(d.graph, d.crossings)
+        faceset = trace_faces(d, h)
+        for rec in arrowize(d, h, k, faceset):
             face = faceset.faces[rec.face]
             verts = set(face.isolated)
             for walk in ((face.outer,) if face.outer else ()) + face.holes:
@@ -176,26 +175,52 @@ def test_euler_identity_on_extremal_family():
 
 def test_trace_faces_with_relation_rejects_crossing_pair():
     d = x_drawing()
-    c = compute_crossings(d)
     with pytest.raises(ValueError):
-        trace_faces(d, [0, 1], c)
+        trace_faces(d, [0, 1])
     # a pair with one edge outside H is allowed: H = {0} leaves one face,
     # holding the segment and the two endpoints of edge 1 as isolated vertices
-    faces = trace_faces(d, [0], c).faces
+    faces = trace_faces(d, [0]).faces
     assert [(f.bounded, f.complexity, f.chains, f.isolated) for f in faces] == [
         (False, 2, 3, (1, 3))
     ]
 
 
 def test_audit_computes_the_crossing_relation_once(monkeypatch):
-    import fanfree.decompose as dec
+    # the generator's self-check reads d.crossings and audit reuses it
+    import fanfree.crossings as cr
 
-    calls = []
+    calls = Counter()
 
-    def counting(d):
-        calls.append(d)
-        return compute_crossings(d)
+    def counting(name, real):
+        def counted(d):
+            calls[name] += 1
+            return real(d)
+        return counted
 
-    monkeypatch.setattr(dec, "compute_crossings", counting)
-    assert audit(gen_straight_extremal(9), 2).ok
-    assert len(calls) == 1
+    for name in ("compute_crossings", "validate_simplicity"):
+        monkeypatch.setattr(cr, name, counting(name, getattr(cr, name)))
+    for generate_and_audit in (
+        lambda: audit(gen_straight_extremal(9), 2),
+        lambda: audit(gen_grid(6, 5), 5),
+    ):
+        calls.clear()
+        assert generate_and_audit().ok
+        assert calls == {"compute_crossings": 1, "validate_simplicity": 1}
+
+
+def test_crossings_are_cached_on_the_drawing():
+    d = x_drawing()
+    assert d.crossings is d.crossings
+    assert d.crossings.pairs == {(0, 1)}
+
+
+def test_non_simple_drawing_has_no_crossing_relation():
+    # two vertices on one point: validate_simplicity names the first
+    # violation, and neither the relation nor an audit exists
+    d = StraightLineDrawing(
+        Graph(4, ((0, 1), (2, 3))), (F(0, 0), F(2, 0), F(0, 0), F(1, 3))
+    )
+    with pytest.raises(SimplicityError, match="coincident-vertices"):
+        d.crossings
+    with pytest.raises(SimplicityError):
+        audit(d, 2)

@@ -8,6 +8,7 @@ from fanfree.model import (
     AbstractDrawing,
     CrossingRelation,
     Graph,
+    InputError,
     StraightLineDrawing,
     dumps,
     from_json_dict,
@@ -37,7 +38,10 @@ def test_self_loop_rejected():
 
 
 def test_out_of_range_rejected():
-    assert "outside" in validate_graph(Graph(3, ((0, 5),)))
+    # rejected on construction: -1 would otherwise index vertex 2
+    for edges in (((0, 5),), ((-1, 2),)):
+        with pytest.raises(ValueError, match="outside"):
+            Graph(3, edges)
 
 
 def test_edge_count_k6():
@@ -99,3 +103,65 @@ def test_json_round_trip_abstract():
 def test_float_coordinates_rejected():
     with pytest.raises(TypeError):
         StraightLineDrawing(Graph(1, ()), ((0.5, 1),))
+
+
+# values that sit on a boundary of the loader's rules: a zero denominator,
+# a vertex outside [0, n) for every n drawn below, a float, a bool, a string
+# and the wrong containers
+BOUNDARY_VALUES = (0, -1, 7, 0.5, True, None, "1", [], {})
+
+
+def single_spot_variants(data: dict):
+    """``data``, then every document that differs from it in one place: a key
+    removed, a key's value or one entry of one row replaced by a boundary
+    value, or the whole document replaced by one."""
+    yield data
+    yield from BOUNDARY_VALUES
+    for key, rows in data.items():
+        yield {k: v for k, v in data.items() if k != key}
+        for new in BOUNDARY_VALUES:
+            yield {**data, key: new}
+        for i, row in enumerate(rows if isinstance(rows, list) else ()):
+            for j in range(len(row)):
+                for new in BOUNDARY_VALUES:
+                    changed = row[:j] + [new] + row[j + 1:]
+                    yield {**data, key: rows[:i] + [changed] + rows[i + 1:]}
+
+
+def test_loader_fuzz_returns_a_model_object_or_raises_input_error():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def documents(draw):
+        # documents that load: a simple graph on 2 to 6 vertices, alone, with
+        # coordinates or with an empty crossing relation
+        n = draw(st.integers(2, 6))
+        pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        edges = st.lists(pair, max_size=6, unique_by=lambda e: tuple(sorted(e)))
+        data = {"n": n, "edges": draw(edges)}
+        kind = draw(st.sampled_from(("graph", "coords", "crossings")))
+        if kind == "coords":
+            number, den = st.integers(-3, 3), st.integers(1, 3)
+            coord = st.lists(st.tuples(number, den, number, den), min_size=n, max_size=n)
+            data["coords"] = list(map(list, draw(coord)))
+        elif kind == "crossings":
+            data["crossings"], data["provenance"] = [], draw(st.text(max_size=3))
+        return data
+
+    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @hypothesis.given(documents())
+    def check(valid):
+        for data in single_spot_variants(valid):
+            try:
+                obj = from_json_dict(data)
+            except InputError:
+                continue
+            assert isinstance(obj, (Graph, StraightLineDrawing, AbstractDrawing))
+            hash(obj)  # an immutable value object
+            g = obj if isinstance(obj, Graph) else obj.graph
+            assert validate_graph(g) is None
+            assert all(0 <= u <= v < g.n for u, v in g.edges)
+            assert from_json_dict(to_json_dict(obj)) == obj
+
+    check()
