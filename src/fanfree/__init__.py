@@ -26,14 +26,10 @@ from .star import (
     InconclusiveError,
     SearchResult,
     StarConfig,
-    arrow_length,
-    arrows_cross,
     bound_b,
     classify_vertices,
     is_fan_free,
     max_arrows,
-    refined_cycle,
-    short_arrow_witness,
     verify_base_cases,
 )
 from .decompose import (

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import time
 import traceback
 from fractions import Fraction
 
@@ -135,6 +136,7 @@ def cmd_star_search(args) -> int:
         if len(klass) != 3:
             print("--class expects H,L,V", file=sys.stderr)
             return EXIT_USAGE
+    t0 = time.perf_counter()
     try:
         res = _star.max_arrows(
             args.m,
@@ -146,6 +148,7 @@ def cmd_star_search(args) -> int:
     except _star.InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    seconds = time.perf_counter() - t0
     print(res.maximum if res.maximum is not None else "infeasible")
     if args.json:
         payload = {
@@ -154,6 +157,7 @@ def cmd_star_search(args) -> int:
             "k": args.k,
             "maximum": res.maximum,
             "nodes": res.nodes,
+            "seconds": round(seconds, 3),
             "configs": [
                 {"m": c.m, "arrows": [list(a) for a in c.arrows]} for c in res.configs
             ],
@@ -338,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("repro", help="re-derive the headline results")
     rp.add_argument("--deep", action="store_true",
-                    help="include the slow 8-gon star search and larger samples")
+                    help="include the slow star searches (8-gon at k=2, 6-gon at "
+                         "k=3, 5-gon at k=4) and larger samples")
     rp.add_argument("--seed", type=int, default=20240808)
     rp.add_argument("--budget", type=int, default=None)
     rp.add_argument("--out", default=None)

@@ -95,13 +95,10 @@ def _interleaved(a1, a2, b1, b2) -> bool:
 
 
 def arrows_cross(s: StarConfig, a: int, b: int) -> bool:
-    """Combinatorial crossing of two arrows (same-start arrows never cross)."""
+    """Whether arrows a and b cross in ``star_drawing(s)``."""
     if a == b:
         raise ValueError("an arrow does not cross itself")
-    if s.arrows[a][0] == s.arrows[b][0]:
-        return False
-    keys = _arrow_keys(s)
-    return _interleaved(keys[a][0], keys[a][1], keys[b][0], keys[b][1])
+    return star_drawing(s).crossings.crosses(s.m + a, s.m + b)
 
 
 def arrow_length(s: StarConfig, a: int) -> int:
@@ -355,6 +352,28 @@ class _Search:
     Subtrees are pruned against the incumbent using the remaining capacity
     of still-insertable pairs; a pair that fails at every gap stays dead for
     the whole subtree (supersets keep the blocking fan).
+
+    Sets of arrows are int bitmasks over arrow ids, an arrow's id being its
+    position on the arrow stack:
+
+    - ``start_mask[v]``: the arrows that start at v_v.
+    - ``cut[v]``: the arrows starting at one of v_0..v_v, XOR those exiting
+      through one of e_0..e_{v-1}.
+    - ``cross[a]``: the earlier arrows that arrow a crosses, and
+      ``counts[a][v]`` the number of arrows from v_v that cross a.
+    - ``sat[v]``: the arrows b on which one more crosser from v_v completes
+      a k-fan, that is, crossers of b from v_v, plus 1, plus 1 if b's exit
+      edge touches v_v, is at least k.
+
+    A new arrow from v_s ending in gap g of e_e crosses the arrows not from
+    v_s with exactly one end on the open arc from v_s to its endpoint: those
+    starting at v_{s+1}..v_e, XOR those exiting through e_s..e_{e-1} (the
+    two together are ``cut[s] ^ cut[e]``, also when the arc wraps past
+    v_0), XOR the first g arrows on e_e.  Moving to gap g+1 toggles one
+    bit.  The arrow fits iff it crosses no arrow of ``sat[s]`` and, for
+    every v, its crossers from v_v, plus 1 if e_e touches v_v, stay below
+    k.  The multiplicity cap k-1 per pair keeps the fans on boundary edges
+    out.
     """
 
     def __init__(self, m, k, pairs, target_class, budget):
@@ -363,17 +382,26 @@ class _Search:
         self.pairs = pairs
         self.target = target_class
         self.budget = budget
-        self.maxmult = k - 1
         self.nodes = 0
         self.best = -1
         self.witnesses: list[tuple] = []
         self.starts: list[int] = []
         self.exits: list[int] = []
+        self.cross: list[int] = []
         self.counts: list[list[int]] = []
-        self.cross_sets: list[list[int]] = []
+        self.start_mask = [0] * m
+        self.sat = [0] * m
+        self.cut = [0] * m
+        self.saved_sat: list[list[int]] = []
+        # limit[e][v]: crossers from v_v that make a k-fan on an arrow
+        # exiting through e_e
+        self.limit = [
+            [k - 1 if v in (e, (e + 1) % m) else k for v in range(m)] for e in range(m)
+        ]
         self.edge_pts: list[list[int]] = [[] for _ in range(m)]
-        self.mult = [0] * len(pairs)
-        self.dead = [False] * len(pairs)
+        # copies of each pair still insertable: k-1 minus those placed, or 0
+        # while the pair is dead
+        self.room = [k - 1] * len(pairs)
         self.deg = [0] * m
         self.a_ij = [[0] * m for _ in range(m)]
 
@@ -399,57 +427,89 @@ class _Search:
             if snap not in self.witnesses:
                 self.witnesses.append(snap)
 
-    def _try_insert(self, s, e, gap):
-        """Crossing set and per-vertex counts if feasible, else None."""
-        k, m = self.k, self.m
-        key_s = (s, 0)
-        key_q = (e, 2 * gap + 1)
-        crosses = []
-        cx = [0] * m
-        for b in range(len(self.starts)):
-            sb = self.starts[b]
-            if sb == s:
-                continue
-            eb = self.exits[b]
-            kb2 = (eb, 2 * self.edge_pts[eb].index(b) + 2)
-            if _interleaved(key_s, key_q, (sb, 0), kb2):
-                crosses.append(b)
-                cx[sb] += 1
-        e2 = (e + 1) % m
-        for v in range(m):
-            if cx[v] + (1 if v in (e, e2) else 0) >= k:
-                return None
-        for b in crosses:
-            eb = self.exits[b]
-            inc = 1 if s in (eb, (eb + 1) % m) else 0
-            if self.counts[b][s] + 1 + inc >= k:
-                return None
-        return crosses, cx
+    def _gap_masks(self, s, e):
+        """The first gap after the copies of (s, e) already on e_e, and the
+        crossing mask of a new arrow (s, e) at each gap 0..len(edge_pts[e])."""
+        keep = ~self.start_mask[s]
+        mask = (self.cut[s] ^ self.cut[e]) & keep
+        masks = [mask]
+        first = 0
+        for aid in self.edge_pts[e]:
+            bit = 1 << aid
+            if bit & keep:
+                mask ^= bit
+            else:
+                first = len(masks)
+            masks.append(mask)
+        return first, masks
 
-    def _apply(self, s, e, gap, crosses, cx):
-        aid = len(self.starts)
+    def _fitting(self, s, e, masks, first):
+        """The gaps from ``first`` at which a new arrow (s, e), crossing
+        ``masks[gap]``, keeps the star fan-free."""
+        sat = self.sat[s]
+        start_mask, limit = self.start_mask, self.limit[e]
+        out = []
+        for gap in range(first, len(masks)):
+            mask = masks[gap]
+            if mask & sat:
+                continue
+            for starts, lim in zip(start_mask, limit):
+                if (mask & starts).bit_count() >= lim:
+                    break
+            else:
+                out.append(gap)
+        return out
+
+    def _apply(self, s, e, gap, mask):
+        bit = 1 << len(self.starts)
+        cx = [(mask & starts).bit_count() for starts in self.start_mask]
+        self.saved_sat.append(self.sat)
+        sat = self.sat[:]
+        for v, lim in enumerate(self.limit[e]):
+            if cx[v] + 1 >= lim:
+                sat[v] |= bit
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
+            self.counts[b][s] += 1
+            if self.counts[b][s] + 1 >= self.limit[self.exits[b]][s]:
+                sat[s] |= low
+        self.sat = sat
+        self.edge_pts[e].insert(gap, len(self.starts))
         self.starts.append(s)
         self.exits.append(e)
+        self.cross.append(mask)
         self.counts.append(cx)
-        self.cross_sets.append(crosses)
-        self.edge_pts[e].insert(gap, aid)
-        for b in crosses:
-            self.counts[b][s] += 1
+        self.start_mask[s] |= bit
+        self._toggle_cut(s, e, bit)
         self.deg[s] += 1
         self.a_ij[s][e] += 1
-        return aid
 
-    def _undo(self, aid, e):
-        s = self.starts[aid]
-        for b in self.cross_sets[aid]:
-            self.counts[b][s] -= 1
-        self.edge_pts[e].remove(aid)
-        self.starts.pop()
+    def _undo(self, e, gap):
+        bit = 1 << self.edge_pts[e].pop(gap)
+        s = self.starts.pop()
         self.exits.pop()
         self.counts.pop()
-        self.cross_sets.pop()
+        rest = self.cross.pop()
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            self.counts[low.bit_length() - 1][s] -= 1
+        self.sat = self.saved_sat.pop()
+        self.start_mask[s] ^= bit
+        self._toggle_cut(s, e, bit)
         self.deg[s] -= 1
         self.a_ij[s][e] -= 1
+
+    def _toggle_cut(self, s, e, bit):
+        """Add or remove arrow ``bit`` from v_s through e_e in ``cut``."""
+        cut = self.cut
+        for v in range(s, self.m):
+            cut[v] ^= bit
+        for v in range(e + 1, self.m):
+            cut[v] ^= bit
 
     def run(self, first_limit):
         self._record()
@@ -463,48 +523,32 @@ class _Search:
         if self.budget is not None and self.nodes > self.budget:
             raise InconclusiveError(self.nodes, self.best if self.best >= 0 else None)
         pairs = self.pairs
-        cap = 0
-        for j in range(lo, len(pairs)):
-            if not self.dead[j]:
-                cap += self.maxmult - self.mult[j]
+        cap = sum(self.room[lo:])
         count = len(self.starts)
         marked = []
         for idx in range(lo, limit):
-            if self.dead[idx]:
-                continue
-            avail = self.maxmult - self.mult[idx]
+            avail = self.room[idx]
             if avail == 0:
                 continue
             if count + cap <= self.best:
                 break
             s, e = pairs[idx]
-            pts = self.edge_pts[e]
-            gap_lo = 0
-            for pos in range(len(pts) - 1, -1, -1):
-                b = pts[pos]
-                if self.starts[b] == s and self.exits[b] == e:
-                    gap_lo = pos + 1
-                    break
-            inserted = False
-            for gap in range(gap_lo, len(pts) + 1):
-                feas = self._try_insert(s, e, gap)
-                if feas is None:
-                    continue
-                inserted = True
-                crosses, cx = feas
-                self.mult[idx] += 1
-                aid = self._apply(s, e, gap, crosses, cx)
+            first, masks = self._gap_masks(s, e)
+            gaps = self._fitting(s, e, masks, first)
+            for gap in gaps:
+                self.room[idx] -= 1
+                self._apply(s, e, gap, masks[gap])
                 self._record()
                 self._dfs(idx, len(pairs))
-                self._undo(aid, e)
-                self.mult[idx] -= 1
-            if not inserted:
-                self.dead[idx] = True
-                marked.append(idx)
+                self._undo(e, gap)
+                self.room[idx] += 1
+            if not gaps:
+                self.room[idx] = 0
+                marked.append((idx, avail))
             # later arrows at this node use pairs > idx only
             cap -= avail
-        for idx in marked:
-            self.dead[idx] = False
+        for idx, avail in marked:
+            self.room[idx] = avail
 
 
 def legal_pairs(m: int, long_only: bool = False) -> list[tuple[int, int]]:

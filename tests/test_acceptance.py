@@ -13,6 +13,7 @@ name it in their details.  See the README, "Base-case table".
 """
 
 from fanfree.repro import (
+    STAR_SMALL,
     claim_audit,
     claim_base_cases,
     claim_bounds_table,
@@ -20,8 +21,8 @@ from fanfree.repro import (
     claim_k_families,
     claim_oracle,
     claim_quad_family,
+    claim_star_maxima,
     claim_star_range,
-    claim_star_small,
     claim_straight_family,
 )
 
@@ -38,7 +39,7 @@ def _report_claims(cid: str, claims, limit: float):
 
 
 def test_c01_star_puzzle_exact_values():
-    _report_claims("C1", claim_star_small(), 1.0)
+    _report_claims("C1", claim_star_maxima(STAR_SMALL), 1.0)
 
 
 def test_c02_star_conjecture_probe():

@@ -37,6 +37,28 @@ def test_star_search_prints_maximum(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_star_search_json_payload(tmp_path, capsys):
+    from fanfree.star import max_arrows
+
+    out = tmp_path / "s.json"
+    assert main(["star-search", "--m", "5", "--k", "2", "--json", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == "4"
+    payload = json.loads(out.read_text())
+    seconds = payload.pop("seconds")
+    assert isinstance(seconds, float) and seconds >= 0
+    assert payload == {
+        "schema": 1,
+        "m": 5,
+        "k": 2,
+        "maximum": 4,
+        "nodes": 63,
+        "configs": [
+            {"m": 5, "arrows": [list(a) for a in c.arrows]}
+            for c in max_arrows(5, 2).configs
+        ],
+    }
+
+
 def test_star_search_budget_exhaustion_is_exit_3():
     assert main(["star-search", "--m", "6", "--k", "2", "--budget", "1"]) == 3
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -14,6 +15,7 @@ from fanfree.star import (
     canonical_form,
     classify_vertices,
     is_fan_free,
+    legal_pairs,
     max_arrows,
     realize_star,
     reflect_star,
@@ -24,6 +26,7 @@ from fanfree.star import (
     sub_star,
     validate_star,
     verify_base_cases,
+    _Search,
 )
 
 from fanfree.repro import brute_class_table
@@ -216,8 +219,87 @@ def test_max_arrows_class_constrained_triangle():
 
 
 def test_max_arrows_budget_is_inconclusive_not_wrong():
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError) as info:
         max_arrows(6, 2, budget=3)
+    assert (info.value.nodes, info.value.best) == (4, 3)
+
+
+# (m, k, filter): None, "long" for long_only, or a vertex class
+PINNED_CASES = (
+    [(m, 2, None) for m in (3, 4, 5, 6, 7)]
+    + [(m, 2, "long") for m in (4, 5, 6, 7, 8)]
+    + [(m, k, None) for k in (3, 4) for m in (3, 4)]
+    + [(5, 3, None)]
+    + [(h + lam + nu, k, (h, lam, nu)) for k in (3, 4) for h, lam, nu in BASE_CASE_ROWS]
+)
+# sha256 of every case's (maximum, nodes, witness configs), recorded from
+# the search that looped over every placed arrow for each candidate gap
+PINNED_DIGEST = "44e1406b8b082cb372a2d5ef38be39285a840ed1aa44563c8439644a34d52d3e"
+
+
+def test_search_outputs_are_pinned():
+    """A faster search must visit the same nodes and return the same
+    witnesses in the same order."""
+    digest = hashlib.sha256()
+    nodes = {}
+    for m, k, f in PINNED_CASES:
+        if f == "long":
+            res = max_arrows(m, k, long_only=True)
+        else:
+            res = max_arrows(m, k, vertex_class=f)
+        nodes[(m, k, f)] = res.nodes
+        digest.update(
+            repr((m, k, f, res.maximum, res.nodes, [c.arrows for c in res.configs])).encode()
+        )
+    assert nodes[(7, 2, None)] == 8895
+    assert nodes[(5, 3, None)] == 14637
+    assert nodes[(8, 2, "long")] == 4136
+    assert digest.hexdigest() == PINNED_DIGEST
+
+
+def _search_holding(s: StarConfig, k: int) -> _Search:
+    """A search whose arrow stack holds the arrows of s, arrow i as id i."""
+    search = _Search(s.m, k, legal_pairs(s.m), None, None)
+    for a, e, slot in s.arrows:
+        gap = sum(s.arrows[aid][2] < slot for aid in search.edge_pts[e])
+        _first, masks = search._gap_masks(a, e)
+        search._apply(a, e, gap, masks[gap])
+    return search
+
+
+def test_search_mask_rule_matches_star_drawing():
+    """For every legal pair and gap on seeded fan-free stars, the search's
+    crossing mask of a new arrow equals its crossers in ``star_drawing``,
+    and its fit test equals ``is_fan_free`` of the extended star wherever
+    the pair stays within the k-1 copies the search allows."""
+    rng = random.Random(4711)
+    outcomes = {True: 0, False: 0}
+    for m in range(3, 9):
+        for k in (2, 3, 4):
+            for _ in range(2):
+                s = random_star(rng, m, k)
+                search = _search_holding(s, k)
+                new = m + len(s.arrows)
+                for a, e in legal_pairs(m):
+                    first, masks = search._gap_masks(a, e)
+                    copies = [t for b, f, t in s.arrows if (b, f) == (a, e)]
+                    assert first == (max(copies) + 1 if copies else 0)
+                    fits = search._fitting(a, e, masks, 0)
+                    for gap, mask in enumerate(masks):
+                        shifted = tuple(
+                            (b, f, t + 1 if f == e and t >= gap else t)
+                            for b, f, t in s.arrows
+                        )
+                        ext = StarConfig(m, shifted + ((a, e, gap),))
+                        crossed = star_drawing(ext).crossings.crossed_by(new)
+                        assert {i for i in range(new) if mask >> i & 1} == {
+                            x - m for x in crossed if x >= m
+                        }, (s, a, e, gap)
+                        if len(copies) < k - 1:
+                            fan_free = is_fan_free(ext, k)
+                            assert (gap in fits) == fan_free, (s, k, a, e, gap)
+                            outcomes[fan_free] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_max_arrows_rejects_bad_class():
