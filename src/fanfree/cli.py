@@ -21,7 +21,7 @@ from . import constructions as _con
 from . import decompose as _dec
 from . import repro as _repro
 from . import star as _star
-from .crossings import find_k_fans, integer_points
+from .crossings import find_k_fans
 from .model import (
     AbstractDrawing,
     Graph,
@@ -214,7 +214,6 @@ def render_svg(d: StraightLineDrawing, size: int = 800, margin: int = 20) -> str
     """SVG 1.1 rendering: one circle per vertex, one line per edge, one
     marker per crossing of the exact relation.  Floats appear only here,
     after every decision has been made exactly."""
-    pts = integer_points(d)
     xs = [x for x, _y in d.coords]
     ys = [y for _x, y in d.coords]
     lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
@@ -238,7 +237,7 @@ def render_svg(d: StraightLineDrawing, size: int = 800, margin: int = 20) -> str
             f'stroke="#365f91" stroke-width="1.2"/>'
         )
     for i, j in sorted(d.crossings.pairs):
-        x, y = px(_segment_intersection(d, pts, i, j))
+        x, y = px(_segment_intersection(d, i, j))
         parts.append(
             f'<rect x="{x - 2.5:.2f}" y="{y - 2.5:.2f}" width="5" height="5" '
             f'fill="none" stroke="#c0504d"/>'
@@ -250,8 +249,9 @@ def render_svg(d: StraightLineDrawing, size: int = 800, margin: int = 20) -> str
     return "\n".join(parts) + "\n"
 
 
-def _segment_intersection(d: StraightLineDrawing, pts, i: int, j: int):
-    """Crossing point of edges i and j; ``pts`` are the drawing's integer points."""
+def _segment_intersection(d: StraightLineDrawing, i: int, j: int):
+    """Crossing point of edges i and j."""
+    pts = d.points
     (u1, v1), (u2, v2) = d.graph.edges[i], d.graph.edges[j]
     t = _dec.intersection_param(pts[u1], pts[v1], pts[u2], pts[v2])
     (x1, y1), (x2, y2) = d.coords[u1], d.coords[v1]
@@ -378,3 +378,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

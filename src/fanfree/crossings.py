@@ -1,19 +1,20 @@
 """Exact crossing computation, drawing simplicity validation, and k-fan
 detection.
 
-Each entry point clears denominators once per drawing: ``integer_points``
-multiplies every coordinate by the drawing's common denominator, and every
-predicate after that is the sign of a 2-D integer expression.  Candidate
-pairs come from a sort-by-x sweep over closed bounding boxes, so two edges
-(or a vertex and an edge) whose boxes are apart are never tested.  A
-configuration where an endpoint touches another segment's interior, or
-where collinear segments overlap, is a simplicity error, never a crossing.
+Denominators are cleared once per drawing: ``StraightLineDrawing.points``
+multiplies every coordinate by the drawing's common denominator and keeps
+the result, and every predicate after that is the sign of a 2-D integer
+expression.  Both sweeps run over one record per edge, sorted by the left
+end of its closed bounding box, so two edges (or a vertex and an edge)
+whose boxes are apart are never tested, and each candidate is decided in
+the loop itself.  A configuration where an endpoint touches another
+segment's interior, or where collinear segments overlap, is a simplicity
+error, never a crossing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .model import (
     CrossingRelation,
@@ -41,22 +42,6 @@ class SimplicityReport:
     violations: tuple[tuple[str, tuple], ...]
 
 
-def integer_points(d: StraightLineDrawing) -> list[tuple[int, int]]:
-    """Every vertex as plain ints (X, Y): its coordinates times the
-    drawing's common denominator.  One positive scale for the whole drawing
-    keeps every orientation, order and incidence, so a predicate decides the
-    same on these points as on the rational coordinates.
-
-    The integers grow with the bit length of the lcm of all denominators,
-    so a drawing with many distinct denominators makes every predicate
-    slower; the benchmarked inputs use one small denominator per drawing."""
-    den = lcm(*(c.denominator for xy in d.coords for c in xy))
-    return [
-        (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-        for x, y in d.coords
-    ]
-
-
 def orient(a, b, c) -> int:
     """Sign of the cross product (b-a) x (c-a)."""
     d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
@@ -69,39 +54,22 @@ def _dot_sign(p, a, b) -> int:
     return (d > 0) - (d < 0)
 
 
-def strictly_between(p, a, b) -> bool:
-    """True iff p lies on the open segment (a, b)."""
-    return orient(a, b, p) == 0 and _dot_sign(p, a, b) < 0
-
-
-def _box(p, q) -> tuple[int, int, int, int]:
-    """Closed bounding box (xlo, xhi, ylo, yhi) of the segment pq."""
-    (x1, y1), (x2, y2) = p, q
-    return (min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2))
-
-
-def _box_sweep(boxes, split: int = 0):
-    """Yield every pair (i, j), i < j, of closed boxes (xlo, xhi, ylo, yhi)
-    that meet, in no fixed order.  With ``split`` > 0 the boxes below it and
-    the boxes from it on are two sides, and only pairs across them are
-    yielded.
-
-    Boxes enter in order of xlo.  A box entering at xlo first drops every
-    active box of the other side whose xhi is left of xlo; the rest overlap
-    it in x, so only y is left to test.  Pairs are yielded one at a time and
-    never gathered into a list.
-    """
-    sides: tuple[list[int], list[int]] = ([], [])
-    for i in sorted(range(len(boxes)), key=lambda i: boxes[i][0]):
-        xlo, _xhi, ylo, yhi = boxes[i]
-        own = sides[split <= i]
-        other = sides[i < split] if split else own
-        other[:] = [j for j in other if boxes[j][1] >= xlo]
-        for j in other:
-            b = boxes[j]
-            if b[2] <= yhi and b[3] >= ylo:
-                yield (j, i) if j < i else (i, j)
-        own.append(i)
+def _edge_records(pts, edges) -> list[tuple]:
+    """One record per edge, sorted by xlo: (xlo, xhi, ylo, yhi, index, u, v,
+    ax, ay, bx, by, dx, dy, c), where (xlo, xhi, ylo, yhi) is the closed
+    bounding box of the segment from a = pts[u] to b = pts[v],
+    (dx, dy) = b - a and c = dx*ay - dy*ax.  The sign of dx*y - dy*x - c is
+    the orientation of the point (x, y) against the line ab."""
+    recs = []
+    for i, (u, v) in enumerate(edges):
+        ax, ay = pts[u]
+        bx, by = pts[v]
+        dx, dy = bx - ax, by - ay
+        xlo, xhi = (ax, bx) if ax <= bx else (bx, ax)
+        ylo, yhi = (ay, by) if ay <= by else (by, ay)
+        recs.append((xlo, xhi, ylo, yhi, i, u, v, ax, ay, bx, by, dx, dy, dx * ay - dy * ax))
+    recs.sort()
+    return recs
 
 
 def validate_simplicity(d: StraightLineDrawing) -> SimplicityReport:
@@ -109,7 +77,7 @@ def validate_simplicity(d: StraightLineDrawing) -> SimplicityReport:
 
     Kinds: coincident-vertices, vertex-on-edge, adjacent-overlap.
     """
-    pts = integer_points(d)
+    pts = d.points
     g = d.graph
     violations: list[tuple[str, tuple]] = []
 
@@ -120,26 +88,44 @@ def validate_simplicity(d: StraightLineDrawing) -> SimplicityReport:
         else:
             seen[p] = v
 
-    # vertices as point boxes against edge boxes
-    n = len(pts)
-    boxes = [(x, x, y, y) for x, y in pts]
-    boxes += [_box(pts[u], pts[v]) for u, v in g.edges]
-    for w, e in _box_sweep(boxes, split=n):
-        u, v = g.edges[e - n]
-        if w != u and w != v and strictly_between(pts[w], pts[u], pts[v]):
-            violations.append(("vertex-on-edge", (w, e - n)))
+    # vertices in x order merged against the edges in xlo order: an edge
+    # enters before the first vertex at or right of its xlo and leaves
+    # before the first vertex right of its xhi
+    recs = _edge_records(pts, g.edges)
+    entered = 0
+    active: list[tuple] = []
+    left = None
+    for px, py, w in sorted((x, y, w) for w, (x, y) in enumerate(pts)):
+        if px != left:
+            while entered < len(recs) and recs[entered][0] <= px:
+                active.append(recs[entered])
+                entered += 1
+            active = [r for r in active if r[1] >= px]
+            left = px
+        for r in active:
+            if r[2] > py or r[3] < py:
+                continue
+            _, _, _, _, e, u, v, ax, ay, _, _, dx, dy, c = r
+            # on the line ab, and strictly between a and b along it (never
+            # for a self-loop, where dx = dy = 0)
+            if w != u and w != v and dx * py - dy * px == c:
+                if 0 < (px - ax) * dx + (py - ay) * dy < dx * dx + dy * dy:
+                    violations.append(("vertex-on-edge", (w, e)))
 
     for s, inc in enumerate(g.incident_edges()):
-        p = pts[s]
-        for pos, i in enumerate(inc):
-            for j in inc[pos + 1:]:
-                (a1, b1), (a2, b2) = g.edges[i], g.edges[j]
-                # duplicate edges share both endpoints and are not overlaps
-                if len({a1, b1} & {a2, b2}) != 1:
-                    continue
-                o1, o2 = pts[a1 + b1 - s], pts[a2 + b2 - s]
-                # collinear and pointing the same way from the shared endpoint
-                if orient(p, o1, o2) == 0 and _dot_sign(p, o1, o2) > 0:
+        px, py = pts[s]
+        rays = []
+        for i in inc:
+            a, b = g.edges[i]
+            o = a + b - s
+            ox, oy = pts[o]
+            rays.append((i, o, ox - px, oy - py))
+        for pos, (i, o1, x1, y1) in enumerate(rays):
+            for j, o2, x2, y2 in rays[pos + 1:]:
+                # collinear and pointing the same way from the shared
+                # endpoint; duplicate edges share both endpoints and are not
+                # overlaps
+                if x1 * y2 == y1 * x2 and x1 * x2 + y1 * y2 > 0 and o1 != o2:
                     violations.append(("adjacent-overlap", (i, j)))
 
     violations.sort()
@@ -181,20 +167,39 @@ def compute_crossings(d: StraightLineDrawing) -> CrossingRelation:
     two edges raises SimplicityError naming the lexicographically smallest
     such pair.
     """
-    pts = integer_points(d)
-    edges = d.graph.edges
     pairs = set()
     bad = None
-    for i, j in _box_sweep([_box(pts[u], pts[v]) for u, v in edges]):
-        u1, v1 = edges[i]
-        u2, v2 = edges[j]
-        if u1 == u2 or u1 == v2 or v1 == u2 or v1 == v2:
-            continue
-        contact = _contact(pts[u1], pts[v1], pts[u2], pts[v2])
-        if contact > 0:
-            pairs.add((i, j))
-        elif contact < 0 and (bad is None or (i, j) < bad):
-            bad = (i, j)
+    active: list[tuple] = []
+    left = None
+    for rec in _edge_records(d.points, d.graph.edges):
+        xlo, _, ylo, yhi, i, u, v, ax, ay, bx, by, dx, dy, c = rec
+        if xlo != left:  # the boxes that end left of xlo leave
+            active = [r for r in active if r[1] >= xlo]
+            left = xlo
+        for r in active:
+            if r[2] > yhi or r[3] < ylo:
+                continue
+            _, _, _, _, j, u2, v2, cx, cy, ex, ey, fx, fy, c2 = r
+            if u2 == u or u2 == v or v2 == u or v2 == v:
+                continue
+            # both ends of one segment strictly on one side of the other's
+            # line: no contact at all
+            o1 = dx * cy - dy * cx - c
+            o2 = dx * ey - dy * ex - c
+            if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
+                continue
+            o3 = fx * ay - fy * ax - c2
+            o4 = fx * by - fy * bx - c2
+            if (o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0):
+                continue
+            pair = (j, i) if j < i else (i, j)
+            if o1 and o2 and o3 and o4:
+                pairs.add(pair)
+            elif (bad is None or pair < bad) and _contact(
+                (ax, ay), (bx, by), (cx, cy), (ex, ey)
+            ) < 0:
+                bad = pair
+        active.append(rec)
     if bad is not None:
         i, j = bad
         raise SimplicityError(

@@ -20,7 +20,7 @@ from .model import (
     StraightLineDrawing,
 )
 from .bounds import upper_bound
-from .crossings import find_k_fans, integer_points, orient
+from .crossings import find_k_fans, orient
 
 
 def maximal_plane_subgraph(
@@ -115,7 +115,7 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
     if any(i in in_h and j in in_h for i, j in d.crossings.pairs):
         raise ValueError("trace_faces requires a crossing-free edge set")
 
-    pts = integer_points(d)
+    pts = d.points
     rot = _sorted_rotation(pts, g, h_edges)
     rot_pos = [
         {nbr: k for k, (nbr, _e) in enumerate(r)} for r in rot
@@ -283,7 +283,7 @@ def arrowize(
     contains the initial segment at its endpoint."""
     g = d.graph
     c = d.crossings
-    pts = integer_points(d)
+    pts = d.points
     in_h = set(h_edges)
     records = []
     for ke in k_edges:

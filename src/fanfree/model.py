@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 
 SCHEMA_VERSION = 1
 
@@ -118,6 +119,8 @@ def validate_crossings(g: Graph, c: CrossingRelation) -> str | None:
 
 
 def _as_fraction(x) -> Fraction:
+    if type(x) is Fraction:  # already exact; the loader builds these
+        return x
     if isinstance(x, float):
         raise TypeError("coordinates must be exact (int / Fraction / str), not float")
     return Fraction(x)
@@ -137,6 +140,23 @@ class StraightLineDrawing:
             raise ValueError(
                 f"{len(pts)} coordinate pairs for {self.graph.n} vertices"
             )
+
+    @cached_property
+    def points(self) -> tuple[tuple[int, int], ...]:
+        """Every vertex as plain ints (X, Y): its coordinates times the
+        drawing's common denominator, computed on first use and kept.  One
+        positive scale for the whole drawing keeps every orientation, order
+        and incidence, so a predicate decides the same on these points as on
+        the rational coordinates.
+
+        The integers grow with the bit length of the lcm of all denominators,
+        so a drawing with many distinct denominators makes every predicate
+        slower; the benchmarked inputs use one small denominator per drawing."""
+        den = lcm(*(c.denominator for xy in self.coords for c in xy))
+        return tuple(
+            (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+            for x, y in self.coords
+        )
 
     @cached_property
     def crossings(self) -> CrossingRelation:

@@ -577,12 +577,15 @@ def max_arrows(
     ``vertex_class`` restricts to configurations whose derived
     (heavy, light, void) counts equal the given triple.  The maximum is
     None when no configuration satisfies the filter.  Exceeding ``budget``
-    search nodes raises InconclusiveError rather than returning anything.
+    search nodes (at least 1, else ValueError) raises InconclusiveError
+    rather than returning anything.
     """
     if m < 3:
         raise ValueError(f"m must be >= 3, got {m}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be >= 1 search node, got {budget}")
     if vertex_class is not None:
         if long_only:
             raise ValueError("choose one filter: long_only or vertex_class")

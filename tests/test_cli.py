@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 from fanfree.cli import main
 from fanfree.model import dumps, load, save
@@ -61,6 +65,32 @@ def test_star_search_json_payload(tmp_path, capsys):
 
 def test_star_search_budget_exhaustion_is_exit_3():
     assert main(["star-search", "--m", "6", "--k", "2", "--budget", "1"]) == 3
+
+
+def test_budget_below_one_is_a_usage_error(monkeypatch, capsys):
+    for budget in ("0", "-1"):
+        assert main(["star-search", "--m", "6", "--k", "2", "--budget", budget]) == 2
+        assert "budget must be >= 1" in capsys.readouterr().err
+    monkeypatch.setenv("FANFREE_BUDGET", "0")
+    assert main(["star-search", "--m", "6", "--k", "2"]) == 2
+    assert "budget must be >= 1" in capsys.readouterr().err
+
+
+def test_python_dash_m_fanfree_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    out = tmp_path / "s.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fanfree", "star-search", "--m", "4", "--k", "2",
+         "--json", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2"
+    payload = json.loads(out.read_text())
+    assert (payload["m"], payload["k"], payload["maximum"]) == (4, 2, 2)
+    assert payload["configs"]
 
 
 def test_star_search_class_filter(capsys):

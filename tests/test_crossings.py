@@ -303,3 +303,86 @@ def test_duplicate_edges_are_not_adjacent_overlap():
     )
     assert validate_simplicity(d).ok
     assert compute_crossings(d).pairs == frozenset()
+
+
+def assert_matches_reference(d):
+    """validate_simplicity and compute_crossings against the all-pairs
+    references above; returns the reference crossing pairs, or None when the
+    drawing has a degenerate contact."""
+    assert validate_simplicity(d).violations == reference_violations(d)
+    want_pairs, want_bad = reference_crossings(d)
+    if want_bad is not None:
+        with pytest.raises(SimplicityError) as exc:
+            compute_crossings(d)
+        assert (exc.value.kind, exc.value.indices) == ("degenerate-contact", want_bad)
+        return None
+    assert compute_crossings(d).pairs == want_pairs
+    return want_pairs
+
+
+def test_straight_family_with_multi_limb_coordinates_matches_reference():
+    from fanfree.constructions import gen_straight_extremal
+
+    d = gen_straight_extremal(30)
+    # a positive affine map with a 100-bit scale, offset and denominator keeps
+    # every answer and makes every integer point several machine words long
+    big = 2**100 + 7
+    mapped = StraightLineDrawing(
+        d.graph,
+        tuple(
+            (Fraction(big * x + 3**70, 2**90 + 1), Fraction(big * y - 5**40, 3**55))
+            for x, y in d.coords
+        ),
+    )
+    assert min(abs(c).bit_length() for p in mapped.points for c in p) > 90
+    pairs = assert_matches_reference(mapped)
+    assert len(pairs) == 4 * 30 - 9 - (3 * 30 - 6)  # one per quadrilateral face
+
+
+def test_grid_with_collinear_non_contacts_matches_reference():
+    from fanfree.constructions import gen_grid
+
+    d = gen_grid(8, 5)
+    # many edges on one grid line that only touch end to end, and many
+    # collinear edges whose boxes meet without a contact
+    assert assert_matches_reference(d)
+
+
+def many_denominators_drawing(rng: random.Random) -> StraightLineDrawing:
+    """Vertices with distinct denominators (so the common one is large), and
+    some placed exactly on a segment between two others, on its line beyond
+    them, or on another vertex, so that every kind of violation and contact
+    still occurs."""
+    n = rng.randint(5, 12)
+    coords = []
+    for v in range(n):
+        if v >= 2 and rng.random() < 0.4:
+            (ax, ay), (bx, by) = rng.sample(coords, 2)
+            t = rng.choice((Fraction(rng.randint(1, 6), 7), Fraction(rng.randint(8, 20), 7), 0))
+            coords.append((ax + t * (bx - ax), ay + t * (by - ay)))
+        else:
+            coords.append(tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 97))
+                                for _ in range(2)))
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = rng.sample(all_pairs, rng.randint(1, min(18, len(all_pairs))))
+    return StraightLineDrawing(Graph(n, tuple(edges)), tuple(coords))
+
+
+def test_many_denominators_match_reference():
+    from math import lcm
+
+    rng = random.Random(1311)
+    outcomes = {"pairs": 0, "crossing": 0, "error": 0, "non-simple": 0}
+    big_lcm = 0
+    for _ in range(300):
+        d = many_denominators_drawing(rng)
+        big_lcm = max(big_lcm, lcm(*(c.denominator for p in d.coords for c in p)))
+        pairs = assert_matches_reference(d)
+        if pairs is None:
+            outcomes["error"] += 1
+        else:
+            outcomes["pairs"] += 1
+            outcomes["crossing"] += bool(pairs)
+        outcomes["non-simple"] += not validate_simplicity(d).ok
+    assert min(outcomes.values()) >= 30, outcomes
+    assert big_lcm.bit_length() > 60

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -186,26 +187,34 @@ def test_trace_faces_with_relation_rejects_crossing_pair():
 
 
 def test_audit_computes_the_crossing_relation_once(monkeypatch):
-    # the generator's self-check reads d.crossings and audit reuses it
+    # the generator's self-check reads d.crossings and audit reuses it; the
+    # integer points are computed once per drawing and shared by all readers
     import fanfree.crossings as cr
 
     calls = Counter()
+    drawings = set()
 
     def counting(name, real):
         def counted(d):
             calls[name] += 1
+            drawings.add(id(d))
             return real(d)
         return counted
 
     for name in ("compute_crossings", "validate_simplicity"):
         monkeypatch.setattr(cr, name, counting(name, getattr(cr, name)))
+    points = cached_property(counting("points", StraightLineDrawing.points.func))
+    points.__set_name__(StraightLineDrawing, "points")
+    monkeypatch.setattr(StraightLineDrawing, "points", points)
     for generate_and_audit in (
         lambda: audit(gen_straight_extremal(9), 2),
         lambda: audit(gen_grid(6, 5), 5),
     ):
         calls.clear()
+        drawings.clear()
         assert generate_and_audit().ok
-        assert calls == {"compute_crossings": 1, "validate_simplicity": 1}
+        assert calls == {"compute_crossings": 1, "validate_simplicity": 1, "points": 1}
+        assert len(drawings) == 1
 
 
 def test_crossings_are_cached_on_the_drawing():

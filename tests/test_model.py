@@ -105,6 +105,21 @@ def test_float_coordinates_rejected():
         StraightLineDrawing(Graph(1, ()), ((0.5, 1),))
 
 
+def test_fraction_coordinates_are_kept_as_given():
+    x = Fraction(1, 3)
+    d = StraightLineDrawing(Graph(1, ()), ((x, 2),))
+    assert d.coords[0][0] is x
+    assert type(d.coords[0][1]) is Fraction and d.coords[0][1] == 2
+
+
+def test_points_clear_the_common_denominator_once():
+    d = StraightLineDrawing(
+        Graph(3, ()), ((Fraction(1, 2), 0), (Fraction(-2, 3), Fraction(5, 4)), (1, 1))
+    )
+    assert d.points == ((6, 0), (-8, 15), (12, 12))
+    assert d.points is d.points
+
+
 # values that sit on a boundary of the loader's rules: a zero denominator,
 # a vertex outside [0, n) for every n drawn below, a float, a bool, a string
 # and the wrong containers
