@@ -342,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("repro", help="re-derive the headline results")
     rp.add_argument("--deep", action="store_true",
-                    help="include the slow star searches (8-gon at k=2, 6-gon at "
-                         "k=3, 5-gon at k=4) and larger samples")
+                    help="include the slow star searches (8- and 9-gon at k=2, "
+                         "6-gon at k=3, 5-gon at k=4) and larger samples")
     rp.add_argument("--seed", type=int, default=20240808)
     rp.add_argument("--budget", type=int, default=None)
     rp.add_argument("--out", default=None)

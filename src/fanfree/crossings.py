@@ -132,32 +132,19 @@ def validate_simplicity(d: StraightLineDrawing) -> SimplicityReport:
     return SimplicityReport(ok=not violations, violations=tuple(violations))
 
 
-def _contact(a, b, c, e) -> int:
-    """1 if the segments ab and ce cross properly, -1 if they touch
-    degenerately (an endpoint on the other's interior, or a collinear
-    overlap), 0 if they are apart."""
-    (ax, ay), (bx, by), (cx, cy), (ex, ey) = a, b, c, e
-    dx, dy = bx - ax, by - ay
-    o1 = dx * (cy - ay) - dy * (cx - ax)
-    o2 = dx * (ey - ay) - dy * (ex - ax)
-    # both ends strictly on one side of the other's line: no contact at all
-    if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
-        return 0
-    fx, fy = ex - cx, ey - cy
-    o3 = fx * (ay - cy) - fy * (ax - cx)
-    o4 = fx * (by - cy) - fy * (bx - cx)
-    if (o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0):
-        return 0
-    if o1 and o2 and o3 and o4:
-        return 1
-    degenerate = (
+def _degenerate(a, b, c, e, o1, o2, o3, o4) -> bool:
+    """Whether the segments ab and ce, which no same-side test separates and
+    of which at least one orientation o1..o4 is zero, touch degenerately:
+    an endpoint on the other's interior, or a collinear overlap.  o1 and o2
+    are the orientations of c and e against ab, o3 and o4 of a and b
+    against ce; only whether each is zero matters."""
+    return (
         (o1 == 0 and _dot_sign(c, a, b) < 0)
         or (o2 == 0 and _dot_sign(e, a, b) < 0)
         or (o3 == 0 and _dot_sign(a, c, e) < 0)
         or (o4 == 0 and _dot_sign(b, c, e) < 0)
         or (o1 == 0 and o2 == 0 and (a, b) in ((c, e), (e, c)))
     )
-    return -1 if degenerate else 0
 
 
 def compute_crossings(d: StraightLineDrawing) -> CrossingRelation:
@@ -195,9 +182,9 @@ def compute_crossings(d: StraightLineDrawing) -> CrossingRelation:
             pair = (j, i) if j < i else (i, j)
             if o1 and o2 and o3 and o4:
                 pairs.add(pair)
-            elif (bad is None or pair < bad) and _contact(
-                (ax, ay), (bx, by), (cx, cy), (ex, ey)
-            ) < 0:
+            elif (bad is None or pair < bad) and _degenerate(
+                (ax, ay), (bx, by), (cx, cy), (ex, ey), o1, o2, o3, o4
+            ):
                 bad = pair
         active.append(rec)
     if bad is not None:

@@ -356,7 +356,8 @@ class _Search:
     Sets of arrows are int bitmasks over arrow ids, an arrow's id being its
     position on the arrow stack:
 
-    - ``start_mask[v]``: the arrows that start at v_v.
+    - ``start_mask[v]``: the arrows that start at v_v, and
+      ``exit_mask[e]`` the arrows that exit through e_e.
     - ``cut[v]``: the arrows starting at one of v_0..v_v, XOR those exiting
       through one of e_0..e_{v-1}.
     - ``cross[a]``: the earlier arrows that arrow a crosses, and
@@ -374,6 +375,13 @@ class _Search:
     every v, its crossers from v_v, plus 1 if e_e touches v_v, stay below
     k.  The multiplicity cap k-1 per pair keeps the fans on boundary edges
     out.
+
+    Most pairs are dead before any gap is looked at.  The gap changes the
+    new arrow's crossers only among the arrows that exit through e_e, so
+    its crossers ``(cut[s] ^ cut[e]) & ~(start_mask[s] | exit_mask[e])``
+    are the same at every gap; if they meet ``sat[s]``, no gap fits, and
+    one AND says so.  The other pairs go through ``_gap_masks`` and
+    ``_fitting``.
     """
 
     def __init__(self, m, k, pairs, target_class, budget):
@@ -390,6 +398,7 @@ class _Search:
         self.cross: list[int] = []
         self.counts: list[list[int]] = []
         self.start_mask = [0] * m
+        self.exit_mask = [0] * m
         self.sat = [0] * m
         self.cut = [0] * m
         self.saved_sat: list[list[int]] = []
@@ -461,29 +470,40 @@ class _Search:
         return out
 
     def _apply(self, s, e, gap, mask):
-        bit = 1 << len(self.starts)
-        cx = [(mask & starts).bit_count() for starts in self.start_mask]
+        starts, exits, counts, limit = self.starts, self.exits, self.counts, self.limit
+        aid = len(starts)
+        bit = 1 << aid
+        cx = [0] * self.m
         self.saved_sat.append(self.sat)
         sat = self.sat[:]
-        for v, lim in enumerate(self.limit[e]):
-            if cx[v] + 1 >= lim:
-                sat[v] |= bit
+        sat_s = sat[s]
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
             b = low.bit_length() - 1
-            self.counts[b][s] += 1
-            if self.counts[b][s] + 1 >= self.limit[self.exits[b]][s]:
-                sat[s] |= low
+            cx[starts[b]] += 1
+            row = counts[b]
+            row[s] += 1
+            if row[s] + 1 >= limit[exits[b]][s]:
+                sat_s |= low
+        sat[s] = sat_s
+        for v, lim in enumerate(limit[e]):
+            if cx[v] + 1 >= lim:
+                sat[v] |= bit
         self.sat = sat
-        self.edge_pts[e].insert(gap, len(self.starts))
-        self.starts.append(s)
-        self.exits.append(e)
+        self.edge_pts[e].insert(gap, aid)
+        starts.append(s)
+        exits.append(e)
         self.cross.append(mask)
-        self.counts.append(cx)
+        counts.append(cx)
         self.start_mask[s] |= bit
-        self._toggle_cut(s, e, bit)
+        self.exit_mask[e] |= bit
+        # the arrow is in cut[v] for v >= s XOR v >= e+1 (s = e+1 is not a
+        # legal exit)
+        cut = self.cut
+        for v in range(s, e + 1) if s < e else range(e + 1, s):
+            cut[v] ^= bit
         self.deg[s] += 1
         self.a_ij[s][e] += 1
 
@@ -491,25 +511,21 @@ class _Search:
         bit = 1 << self.edge_pts[e].pop(gap)
         s = self.starts.pop()
         self.exits.pop()
-        self.counts.pop()
+        counts = self.counts
+        counts.pop()
         rest = self.cross.pop()
         while rest:
             low = rest & -rest
             rest ^= low
-            self.counts[low.bit_length() - 1][s] -= 1
+            counts[low.bit_length() - 1][s] -= 1
         self.sat = self.saved_sat.pop()
         self.start_mask[s] ^= bit
-        self._toggle_cut(s, e, bit)
+        self.exit_mask[e] ^= bit
+        cut = self.cut
+        for v in range(s, e + 1) if s < e else range(e + 1, s):
+            cut[v] ^= bit
         self.deg[s] -= 1
         self.a_ij[s][e] -= 1
-
-    def _toggle_cut(self, s, e, bit):
-        """Add or remove arrow ``bit`` from v_s through e_e in ``cut``."""
-        cut = self.cut
-        for v in range(s, self.m):
-            cut[v] ^= bit
-        for v in range(e + 1, self.m):
-            cut[v] ^= bit
 
     def run(self, first_limit):
         self._record()
@@ -522,33 +538,39 @@ class _Search:
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
             raise InconclusiveError(self.nodes, self.best if self.best >= 0 else None)
-        pairs = self.pairs
-        cap = sum(self.room[lo:])
+        pairs, room = self.pairs, self.room
+        # children change these lists in place and restore them; ``_undo``
+        # puts back this node's ``sat`` list itself
+        cut, start_mask, exit_mask, sat = self.cut, self.start_mask, self.exit_mask, self.sat
+        cap = sum(room[lo:])
         count = len(self.starts)
         marked = []
         for idx in range(lo, limit):
-            avail = self.room[idx]
+            avail = room[idx]
             if avail == 0:
                 continue
             if count + cap <= self.best:
                 break
             s, e = pairs[idx]
-            first, masks = self._gap_masks(s, e)
-            gaps = self._fitting(s, e, masks, first)
+            if (cut[s] ^ cut[e]) & ~(start_mask[s] | exit_mask[e]) & sat[s]:
+                gaps = ()
+            else:
+                first, masks = self._gap_masks(s, e)
+                gaps = self._fitting(s, e, masks, first)
             for gap in gaps:
-                self.room[idx] -= 1
+                room[idx] -= 1
                 self._apply(s, e, gap, masks[gap])
                 self._record()
                 self._dfs(idx, len(pairs))
                 self._undo(e, gap)
-                self.room[idx] += 1
+                room[idx] += 1
             if not gaps:
-                self.room[idx] = 0
+                room[idx] = 0
                 marked.append((idx, avail))
             # later arrows at this node use pairs > idx only
             cap -= avail
         for idx, avail in marked:
-            self.room[idx] = avail
+            room[idx] = avail
 
 
 def legal_pairs(m: int, long_only: bool = False) -> list[tuple[int, int]]:

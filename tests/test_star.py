@@ -271,11 +271,15 @@ def test_search_mask_rule_matches_star_drawing():
     """For every legal pair and gap on seeded fan-free stars, the search's
     crossing mask of a new arrow equals its crossers in ``star_drawing``,
     and its fit test equals ``is_fan_free`` of the extended star wherever
-    the pair stays within the k-1 copies the search allows."""
+    the pair stays within the k-1 copies the search allows.  A pair that the
+    search's one-AND test calls dead (its crossers outside the arrows on its
+    exit edge meet ``sat`` of its start) fits at no gap, and every one of
+    its extensions has a k-fan; each (m, k) has such a pair."""
     rng = random.Random(4711)
     outcomes = {True: 0, False: 0}
     for m in range(3, 9):
         for k in (2, 3, 4):
+            dead_pairs = 0
             for _ in range(2):
                 s = random_star(rng, m, k)
                 search = _search_holding(s, k)
@@ -285,6 +289,13 @@ def test_search_mask_rule_matches_star_drawing():
                     copies = [t for b, f, t in s.arrows if (b, f) == (a, e)]
                     assert first == (max(copies) + 1 if copies else 0)
                     fits = search._fitting(a, e, masks, 0)
+                    shared = (search.cut[a] ^ search.cut[e]) & ~(
+                        search.start_mask[a] | search.exit_mask[e]
+                    )
+                    dead = bool(shared & search.sat[a])
+                    if dead:
+                        assert fits == [], (s, k, a, e)
+                        dead_pairs += 1
                     for gap, mask in enumerate(masks):
                         shifted = tuple(
                             (b, f, t + 1 if f == e and t >= gap else t)
@@ -295,10 +306,13 @@ def test_search_mask_rule_matches_star_drawing():
                         assert {i for i in range(new) if mask >> i & 1} == {
                             x - m for x in crossed if x >= m
                         }, (s, a, e, gap)
+                        if dead:
+                            assert not is_fan_free(ext, k), (s, k, a, e, gap)
                         if len(copies) < k - 1:
                             fan_free = is_fan_free(ext, k)
                             assert (gap in fits) == fan_free, (s, k, a, e, gap)
                             outcomes[fan_free] += 1
+            assert dead_pairs > 0, (m, k)
     assert min(outcomes.values()) > 100, outcomes
 
 
