@@ -113,7 +113,8 @@ def check_graph_against_bounds(
     exact = exact_extremal_k2(g.n)[0] if k == 2 else None
     m = len(g.edges)
     fan_free = None if isinstance(obj, Graph) else not find_k_fans(g, obj.crossings, k)
-    limit = exact if (k == 2 and not straight and exact is not None) else bound
+    # the exact k = 2 maximum holds for every drawing, straight-line or not
+    limit = bound if exact is None else min(exact, bound)
     falsification = bool(fan_free) and m > limit
     if falsification:
         verdict = "falsification"

@@ -170,7 +170,8 @@ def cmd_star_search(args) -> int:
 def cmd_bounds(args) -> int:
     if args.input:
         obj = load(args.input)
-        rep = _bounds.check_graph_against_bounds(obj, args.k, args.straight)
+        # without --straight the input's type decides (coordinates: straight)
+        rep = _bounds.check_graph_against_bounds(obj, args.k, args.straight or None)
         payload = _bounds.report_to_json(rep)
         print(f"{rep.verdict}: {rep.reason}")
         if rep.falsification:

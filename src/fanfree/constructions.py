@@ -238,34 +238,25 @@ def grid_stencil(k: int) -> list[tuple[int, int]]:
     implicitly their negations) gives degree 2(k-1) away from the border."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    cands = []
-    reach = 2
+    # equal lengths on the upper half-plane: ccw angle order is descending dx
+    reach = 1
     while True:
-        cands = []
-        for dx in range(-reach, reach + 1):
-            for dy in range(0, reach + 1):
-                if dy == 0 and dx <= 0:
-                    continue
-                if dy > 0 or dx > 0:
-                    if gcd(abs(dx), dy) == 1:
-                        cands.append((dx, dy))
+        cands = sorted(
+            (
+                (dx, dy)
+                for dx in range(-reach, reach + 1)
+                for dy in range(reach + 1)
+                if (dy > 0 or dx > 0) and gcd(abs(dx), dy) == 1
+            ),
+            key=lambda v: (v[0] * v[0] + v[1] * v[1], -v[0]),
+        )
+        # a vector outside the box is longer than reach, so once the
+        # (k-1)-th candidate is no longer than that, the first k-1 are final
         if len(cands) >= k - 1:
-            break
+            dx, dy = cands[k - 2]
+            if dx * dx + dy * dy <= reach * reach:
+                return cands[: k - 1]
         reach += 1
-
-    # sort by squared length, then ccw angle via pairwise cross products
-    import functools
-
-    def cmp(a, b):
-        la = a[0] * a[0] + a[1] * a[1]
-        lb = b[0] * b[0] + b[1] * b[1]
-        if la != lb:
-            return -1 if la < lb else 1
-        cr = a[0] * b[1] - a[1] * b[0]
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    cands.sort(key=functools.cmp_to_key(cmp))
-    return cands[: k - 1]
 
 
 def gen_grid(side: int, k: int) -> StraightLineDrawing:

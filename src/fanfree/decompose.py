@@ -99,10 +99,12 @@ class Face:
 
 @dataclass(frozen=True)
 class FaceSet:
+    """The faces of H, ids in ``faces`` order, and ``dart_face``: the id of
+    the face on the left of each dart (u, v) of an H edge.  An isolated
+    vertex of H lies in the face whose ``isolated`` lists it."""
+
     faces: tuple[Face, ...]
     dart_face: dict
-    vertex_face: dict  # isolated vertex -> face id
-    rotation: list  # vertex -> ccw-sorted (neighbor, edge index) of H
 
 
 def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
@@ -190,7 +192,6 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
     order = sorted(range(len(outer_walks)), key=lambda wi: min(outer_walks[wi].darts))
     faces: list[Face] = []
     dart_face: dict = {}
-    vertex_face: dict = {}
     for fid, wi in enumerate(order):
         outer = outer_walks[wi]
         holes = tuple(sorted(hole_of.get(wi, []), key=lambda w: min(w.darts)))
@@ -203,8 +204,6 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
         for w in holes:
             for dart in w.darts:
                 dart_face[dart] = fid
-        for v in iso:
-            vertex_face[v] = fid
     # unbounded face: every chain is a hole, there is no outer walk
     fid = len(order)
     holes = tuple(sorted(hole_of.get(None, []), key=lambda w: min(w.darts)))
@@ -214,9 +213,7 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
     for w in holes:
         for dart in w.darts:
             dart_face[dart] = fid
-    for v in iso:
-        vertex_face[v] = fid
-    return FaceSet(tuple(faces), dart_face, vertex_face, rot)
+    return FaceSet(tuple(faces), dart_face)
 
 
 def _component_ids(g: Graph, h_edges: list[int]) -> list[int]:
@@ -279,8 +276,13 @@ def arrowize(
     k_edges: list[int],
     faceset: FaceSet,
 ) -> list[ArrowRecord]:
-    """Two arrows per excluded edge, each assigned to the face of H that
-    contains the initial segment at its endpoint."""
+    """Two arrows per excluded edge, one from each endpoint, each charged to
+    the face of H that holds its initial segment.
+
+    The open segment from the start s to the first H edge (a, b) it crosses
+    meets no H edge and no vertex (the drawing is simple), so it lies in one
+    face: the one left of the dart of (a, b) that has s on its left.  The
+    crossing is proper, so s is never on the line through a and b."""
     g = d.graph
     c = d.crossings
     pts = d.points
@@ -293,44 +295,11 @@ def arrowize(
             raise ValueError(f"excluded edge {ke} crosses no H edge: H is not maximal")
         for s, t_ in ((u, w), (w, u)):
             tpar, hedge = _first_hit(pts, g.edges, s, t_, hits)
-            face = _wedge_face(pts, faceset, s, t_)
-            records.append(ArrowRecord(ke, s, face, hedge, tpar))
+            a, b = g.edges[hedge]
+            if orient(pts[a], pts[b], pts[s]) < 0:
+                a, b = b, a
+            records.append(ArrowRecord(ke, s, faceset.dart_face[a, b], hedge, tpar))
     return records
-
-
-def _wedge_face(pts, faceset: FaceSet, s, towards):
-    """Face of H containing the ray from vertex s toward ``towards``."""
-    darts = faceset.rotation[s]
-    if not darts:
-        return faceset.vertex_face[s]
-    px, py = pts[s]
-    tx, ty = pts[towards]
-    dvec = (tx - px, ty - py)
-    # predecessor dart of dvec in ccw order; the wedge it opens belongs to
-    # the face left of that dart
-    best = None
-    for nbr, _e in darts:
-        nx, ny = pts[nbr]
-        nvec = (nx - px, ny - py)
-        if best is None:
-            best = nbr
-            continue
-        bx, by = pts[best]
-        bvec = (bx - px, by - py)
-        # is nvec a later predecessor than bvec, i.e. bvec < nvec <= dvec cyclically?
-        if _cyclic_le(bvec, nvec, dvec):
-            best = nbr
-    return faceset.dart_face[(s, best)]
-
-
-def _cyclic_le(lo, mid, hi) -> bool:
-    """mid in the half-open ccw arc (lo, hi]."""
-    a = _direction_cmp(lo, mid)
-    b = _direction_cmp(mid, hi)
-    c = _direction_cmp(lo, hi)
-    if c < 0:
-        return a < 0 and b <= 0
-    return a < 0 or b <= 0
 
 
 @dataclass(frozen=True)

@@ -174,23 +174,22 @@ class VertexClasses:
         return (self.h, self.lam, self.nu)
 
 
-def _arrow_matrix(s: StarConfig):
-    deg = [0] * s.m
-    a_ij = [[0] * s.m for _ in range(s.m)]
-    for start, exit, _slot in s.arrows:
-        deg[start] += 1
-        a_ij[start][exit] += 1
-    return deg, a_ij
-
-
 def classify_vertices(s: StarConfig) -> VertexClasses:
     """Heavy / light / void tags of the star's vertices (``vertex_classes``)."""
-    return vertex_classes(*_arrow_matrix(s))
+    start_mask = [0] * s.m
+    exit_mask = [0] * s.m
+    for i, (start, exit, _slot) in enumerate(s.arrows):
+        start_mask[start] |= 1 << i
+        exit_mask[exit] |= 1 << i
+    return vertex_classes(start_mask, exit_mask)
 
 
-def vertex_classes(deg: list[int], a_ij: list[list[int]]) -> VertexClasses:
-    """Tag vertices by the zero-degree run rule, from each vertex's arrow
-    count ``deg`` and the arrow counts ``a_ij`` per (start, exit) pair.
+def vertex_classes(start_mask: list[int], exit_mask: list[int]) -> VertexClasses:
+    """Tag vertices by the zero-degree run rule, from the int bitmasks of
+    the arrows that start at each vertex (``start_mask``) and of those that
+    exit through each edge (``exit_mask``).  v_v is heavy iff
+    ``start_mask[v]`` is nonzero; a short arrow over v_v starts at v_{v-1}
+    and exits through e_v, or starts at v_{v+1} and exits through e_{v-1}.
 
     A maximal run of zero-degree vertices v_s..v_{s+t-1} is all left-light
     when no short arrow from the vertex before the run passes over its first
@@ -200,22 +199,22 @@ def vertex_classes(deg: list[int], a_ij: list[list[int]]) -> VertexClasses:
     with no arrows at all is all left-light (every condition holds
     vacuously).
     """
-    m = len(deg)
-    if not any(deg):
+    m = len(start_mask)
+    if not any(start_mask):
         return VertexClasses((LEFT_LIGHT,) * m, 0, m, 0)
-    tags = [HEAVY if d > 0 else None for d in deg]
+    tags = [HEAVY if starts else None for starts in start_mask]
     for v0 in range(m):
-        if deg[v0] > 0 or deg[(v0 - 1) % m] == 0:
+        if start_mask[v0] or not start_mask[(v0 - 1) % m]:
             continue
         t = 1
-        while deg[(v0 + t) % m] == 0:
+        while not start_mask[(v0 + t) % m]:
             t += 1
         pred = (v0 - 1) % m
         succ = (v0 + t) % m
         last = (v0 + t - 1) % m
-        if a_ij[pred][v0] == 0:
+        if not start_mask[pred] & exit_mask[v0]:
             run = [LEFT_LIGHT] * t
-        elif a_ij[succ][(last - 1) % m] == 0:
+        elif not start_mask[succ] & exit_mask[(last - 1) % m]:
             run = [RIGHT_LIGHT] * t
         else:
             run = [RIGHT_LIGHT] * (t - 1) + [VOID]
@@ -411,8 +410,6 @@ class _Search:
         # copies of each pair still insertable: k-1 minus those placed, or 0
         # while the pair is dead
         self.room = [k - 1] * len(pairs)
-        self.deg = [0] * m
-        self.a_ij = [[0] * m for _ in range(m)]
 
     def _snapshot(self) -> StarConfig:
         arrows = []
@@ -424,7 +421,7 @@ class _Search:
     def _record(self):
         if (
             self.target is not None
-            and vertex_classes(self.deg, self.a_ij).counts != self.target
+            and vertex_classes(self.start_mask, self.exit_mask).counts != self.target
         ):
             return
         count = len(self.starts)
@@ -504,8 +501,6 @@ class _Search:
         cut = self.cut
         for v in range(s, e + 1) if s < e else range(e + 1, s):
             cut[v] ^= bit
-        self.deg[s] += 1
-        self.a_ij[s][e] += 1
 
     def _undo(self, e, gap):
         bit = 1 << self.edge_pts[e].pop(gap)
@@ -524,8 +519,6 @@ class _Search:
         cut = self.cut
         for v in range(s, e + 1) if s < e else range(e + 1, s):
             cut[v] ^= bit
-        self.deg[s] -= 1
-        self.a_ij[s][e] -= 1
 
     def run(self, first_limit):
         self._record()

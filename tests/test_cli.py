@@ -119,6 +119,32 @@ def test_bounds_command(tmp_path, capsys):
     assert "19" in capsys.readouterr().out
 
 
+def test_bounds_input_detects_a_straight_line_drawing(tmp_path):
+    # a drawing with coordinates is judged against 4n-9 without --straight;
+    # the straight-line extremal drawing on 30 vertices meets it exactly
+    src = tmp_path / "d.json"
+    assert main(["gen", "--family", "straight-extremal", "--n", "30",
+                 "--out", str(src)]) == 0
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", "--input", str(src), "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["straight"] is True
+    assert payload["bound"] == 111 and payload["edges"] == 111
+    assert payload["verdict"] == "extremal"
+    # K_4 drawn without crossings: 6 edges, below 4n-9 = 7 but the exact
+    # maximum on 4 vertices
+    k4 = tmp_path / "k4.json"
+    k4.write_text(json.dumps({
+        "n": 4,
+        "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
+        "coords": [[0, 1, 0, 1], [6, 1, 0, 1], [0, 1, 6, 1], [1, 1, 1, 1]],
+    }))
+    assert main(["bounds", "--input", str(k4), "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["straight"] is True and payload["bound"] == 7
+    assert payload["verdict"] == "extremal"
+
+
 def test_bounds_falsification_archives_counterexample(tmp_path, monkeypatch):
     # an input whose crossing relation lies (K7, "no crossings") must be
     # archived and flagged

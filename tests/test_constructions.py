@@ -1,3 +1,6 @@
+import functools
+from math import gcd
+
 import pytest
 
 from fanfree.constructions import (
@@ -92,6 +95,26 @@ def test_grid_stencil_shortest_vectors():
     assert grid_stencil(4) == [(1, 0), (0, 1), (1, 1)]
     assert grid_stencil(5) == [(1, 0), (0, 1), (1, 1), (-1, 1)]
     assert grid_stencil(6) == [(1, 0), (0, 1), (1, 1), (-1, 1), (2, 1)]
+
+    # every primitive vector of the upper half-plane with |dx|, dy <= 12,
+    # by squared length and then ccw angle (cross product sign); the box
+    # holds all vectors of length up to 12, and the 119th is shorter
+    def by_length_then_angle(a, b):
+        la, lb = a[0] ** 2 + a[1] ** 2, b[0] ** 2 + b[1] ** 2
+        if la != lb:
+            return la - lb
+        return b[0] * a[1] - a[0] * b[1]
+
+    box = [
+        (dx, dy)
+        for dx in range(-12, 13)
+        for dy in range(13)
+        if (dy > 0 or dx > 0) and gcd(abs(dx), dy) == 1
+    ]
+    box.sort(key=functools.cmp_to_key(by_length_then_angle))
+    assert box[118][0] ** 2 + box[118][1] ** 2 < 12 ** 2
+    for k in range(2, 121):
+        assert grid_stencil(k) == box[: k - 1], k
 
 
 def test_grid_k2_is_a_union_of_paths():

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import cached_property
 
 import pytest
@@ -110,6 +111,46 @@ def test_arrow_faces_touch_their_start_vertex():
                 for u, v in walk.darts:
                     verts.add(u)
             assert rec.start in verts
+
+
+def _inside(pts, walk, p) -> bool:
+    """Exact parity of a rightward ray from p (never on the walk) across the
+    walk's edges, half-open in y so a vertex on the ray counts once."""
+    inside = False
+    for a, b in walk.darts:
+        (xa, ya), (xb, yb) = pts[a], pts[b]
+        if (ya > p[1]) != (yb > p[1]):
+            if p[0] < xa + (p[1] - ya) * Fraction(xb - xa, yb - ya):
+                inside = not inside
+    return inside
+
+
+def test_arrow_initial_segment_lies_in_its_face():
+    # the midpoint of each arrow's initial segment, s + (t/2)(w - s), lies in
+    # the region of its face: inside the outer walk of a bounded face and
+    # inside none of the face's hole walks
+    rng = random.Random(14)
+    drawings = [random_fan_free_drawing(rng, max_n=rng.choice((8, 20)))
+                for _ in range(40)]
+    # gen_grid(6, 4) is a crossing-free triangulated grid (no arrows, every
+    # vertex in H); gen_grid(6, 5) adds crossing diagonals
+    drawings += [gen_straight_extremal(13), gen_grid(6, 4), gen_grid(6, 5)]
+    isolated_starts = 0
+    for d in drawings:
+        pts = d.points
+        h, k = maximal_plane_subgraph(d.graph, d.crossings)
+        in_h = {v for i in h for v in d.graph.edges[i]}
+        faceset = trace_faces(d, h)
+        for rec in arrowize(d, h, k, faceset):
+            u, w = d.graph.edges[rec.edge]
+            end = w if rec.start == u else u
+            (sx, sy), (ex, ey) = pts[rec.start], pts[end]
+            mid = (sx + rec.t / 2 * (ex - sx), sy + rec.t / 2 * (ey - sy))
+            face = faceset.faces[rec.face]
+            assert face.outer is None or _inside(pts, face.outer, mid)
+            assert not any(_inside(pts, hole, mid) for hole in face.holes)
+            isolated_starts += rec.start not in in_h
+    assert isolated_starts > 0
 
 
 def test_face_arrow_bound_values():
