@@ -4,12 +4,20 @@ detection.
 Denominators are cleared once per drawing: ``StraightLineDrawing.points``
 multiplies every coordinate by the drawing's common denominator and keeps
 the result, and every predicate after that is the sign of a 2-D integer
-expression.  Both sweeps run over one record per edge, sorted by the left
-end of its closed bounding box, so two edges (or a vertex and an edge)
-whose boxes are apart are never tested, and each candidate is decided in
-the loop itself.  A configuration where an endpoint touches another
-segment's interior, or where collinear segments overlap, is a simplicity
-error, never a crossing.
+expression.  Two kernels compute the relation:
+
+- ``plane_sweep``, for drawings of at least SWEEP_MIN_EDGES edges: one
+  Bentley–Ottmann sweep whose work grows with edges plus crossings.  It
+  stops with None at the first degeneracy, and its result is kept as
+  ``d.sweep``, so ``validate_simplicity`` and ``compute_crossings`` share it.
+- the box sweeps, for every other drawing and for any the plane sweep
+  stops on: one record per edge, sorted by the left end of its closed
+  bounding box, so two edges (or a vertex and an edge) whose boxes are
+  apart are never tested.  They alone list every violation and name the
+  smallest degenerate pair.
+
+A configuration where an endpoint touches another segment's interior, or
+where collinear segments overlap, is a simplicity error, never a crossing.
 """
 
 from __future__ import annotations
@@ -23,6 +31,12 @@ from .model import (
     StraightLineDrawing,
     crossing_lists,
 )
+
+
+# Drawings with this many edges or more take ``plane_sweep`` first.  Below it
+# the box sweep's worst case is at most T(T-1)/2 pair tests, about 2,000, and
+# on small dense drawings the plane sweep's events cost more than that.
+SWEEP_MIN_EDGES = 64
 
 
 class SimplicityError(ValueError):
@@ -77,6 +91,8 @@ def validate_simplicity(d: StraightLineDrawing) -> SimplicityReport:
 
     Kinds: coincident-vertices, vertex-on-edge, adjacent-overlap.
     """
+    if _swept(d) is not None:
+        return SimplicityReport(ok=True, violations=())
     pts = d.points
     g = d.graph
     violations: list[tuple[str, tuple]] = []
@@ -112,7 +128,10 @@ def validate_simplicity(d: StraightLineDrawing) -> SimplicityReport:
                 if 0 < (px - ax) * dx + (py - ay) * dy < dx * dx + dy * dy:
                     violations.append(("vertex-on-edge", (w, e)))
 
-    for s, inc in enumerate(g.incident_edges()):
+    # two collinear edges pointing the same way from one vertex put the nearer
+    # far end on the other edge's interior, or on its far end, so an overlap
+    # comes with a violation found above: without one there is none to find
+    for s, inc in enumerate(g.incident_edges() if violations else ()):
         px, py = pts[s]
         rays = []
         for i in inc:
@@ -154,6 +173,8 @@ def compute_crossings(d: StraightLineDrawing) -> CrossingRelation:
     two edges raises SimplicityError naming the lexicographically smallest
     such pair.
     """
+    if (rel := _swept(d)) is not None:
+        return rel
     pairs = set()
     bad = None
     active: list[tuple] = []
@@ -195,6 +216,151 @@ def compute_crossings(d: StraightLineDrawing) -> CrossingRelation:
             f"edges {i} and {j} touch degenerately "
             "(endpoint on interior or collinear overlap)",
         )
+    return CrossingRelation(frozenset(pairs))
+
+
+def _swept(d: StraightLineDrawing) -> CrossingRelation | None:
+    """``d.sweep`` for a drawing of at least SWEEP_MIN_EDGES edges, else None."""
+    return d.sweep if len(d.graph.edges) >= SWEEP_MIN_EDGES else None
+
+
+def _schedule(pending: list, x, y, w) -> None:
+    """Insert the crossing point (x/w, y/w), w > 0, into ``pending``, which
+    is sorted from the last event to the first; points are compared by
+    cross-multiplication."""
+    lo, hi = 0, len(pending)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        px, py, pw = pending[mid]
+        dx = px * w - x * pw
+        if dx > 0 or (dx == 0 and py * w > y * pw):
+            lo = mid + 1
+        else:
+            hi = mid
+    pending.insert(lo, (x, y, w))
+
+
+def plane_sweep(d: StraightLineDrawing) -> CrossingRelation | None:
+    """The crossing relation of ``d`` from one Bentley–Ottmann sweep, or None
+    at the first degeneracy: coincident vertices, a vertex inside an edge
+    (which every touching or overlapping pair of edges has), collinear edges
+    leaving one vertex the same way, a self-loop or a duplicate edge.
+
+    Events are the drawing's points and the crossing points (homogeneous
+    integers (X, Y, W), W > 0), taken in (x, y) order, a vertex before a
+    crossing at the same point.  The status lists the edges that meet the
+    sweep line from bottom to top, each oriented from its smaller end, and
+    an event point is located in it by the signs of dx*Y - dy*X - c*W.  A
+    vertical edge comes after every other edge through the point where it
+    starts, so the edges through a crossing point form one block that the
+    crossing reverses.  A vertex event whose block holds an edge that does
+    not end there has found a vertex inside that edge."""
+    pts = d.points
+    edges = d.graph.edges
+    if len(set(edges)) != len(edges):
+        return None
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    for v, w in zip(order, order[1:]):
+        if pts[v] == pts[w]:
+            return None
+    # per edge: direction (dx, dy) from its smaller end, c = dx*ay - dy*ax,
+    # and its larger end; per vertex: the edges it starts, bottom to top
+    DX, DY, C, right = [], [], [], []
+    starts: list[list[int]] = [[] for _ in pts]
+    for i, (u, v) in enumerate(edges):
+        if u == v:
+            return None
+        if pts[v] < pts[u]:
+            u, v = v, u
+        (ax, ay), (bx, by) = pts[u], pts[v]
+        dx, dy = bx - ax, by - ay
+        DX.append(dx)
+        DY.append(dy)
+        C.append(dx * ay - dy * ax)
+        right.append(v)
+        out = starts[u]
+        j = len(out)
+        while j and DX[out[j - 1]] * dy - DY[out[j - 1]] * dx < 0:
+            j -= 1
+        if j and DX[out[j - 1]] * dy == DY[out[j - 1]] * dx:
+            return None  # collinear, same way: an overlap
+        out.insert(j, i)
+
+    pairs = set()
+    pending: list[tuple] = []  # crossing points, the next one last
+    status: list[int] = []
+
+    def test(s, t):
+        """Schedule the crossing of s (below) and t if they cross properly
+        ahead of the sweep, where s is the steeper: w > 0.  Edges that
+        crossed behind it meet again as neighbours in the other order."""
+        sx, sy, sc, tx, ty, tc = DX[s], DY[s], C[s], DX[t], DY[t], C[t]
+        w = sy * tx - sx * ty
+        if w <= 0:
+            return
+        (cx, cy), (ex, ey) = pts[edges[t][0]], pts[edges[t][1]]
+        o1 = sx * cy - sy * cx - sc
+        o2 = sx * ey - sy * ex - sc
+        if not o1 or not o2 or (o1 > 0) == (o2 > 0):
+            return
+        (ax, ay), (bx, by) = pts[edges[s][0]], pts[edges[s][1]]
+        o3 = tx * ay - ty * ax - tc
+        o4 = tx * by - ty * bx - tc
+        if o3 and o4 and (o3 > 0) != (o4 > 0):
+            # the lines sx*y - sy*x = sc and tx*y - ty*x = tc meet here
+            _schedule(pending, sx * tc - tx * sc, sy * tc - ty * sc, w)
+
+    vertices = iter(order)
+    vertex = next(vertices, None)
+    while vertex is not None:
+        x, y = pts[vertex]
+        w = 1
+        crossing = False
+        if pending:
+            px, py, pw = pending[-1]
+            dx = px - x * pw
+            if dx < 0 or (dx == 0 and py < y * pw):
+                x, y, w = pending.pop()
+                crossing = True
+                while pending:  # the same point, scheduled by other pairs
+                    px, py, pw = pending[-1]
+                    if px * w != x * pw or py * w != y * pw:
+                        break
+                    pending.pop()
+        lo, hi = 0, len(status)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            e = status[mid]
+            if DX[e] * y - DY[e] * x - C[e] * w > 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        hi = lo
+        while hi < len(status):
+            e = status[hi]
+            if DX[e] * y - DY[e] * x - C[e] * w:
+                break
+            hi += 1
+        if crossing:
+            block = status[lo:hi]
+            for pos, e in enumerate(block):
+                for f in block[pos + 1:]:
+                    pairs.add((e, f) if e < f else (f, e))
+            block.reverse()
+            status[lo:hi] = block
+        else:
+            for e in status[lo:hi]:
+                if right[e] != vertex:
+                    return None
+            new = starts[vertex]
+            status[lo:hi] = new
+            hi = lo + len(new)
+            vertex = next(vertices, None)
+        # the new neighbours: around the block, or across the gap it left
+        if lo > 0 and (lo < hi or hi < len(status)):
+            test(status[lo - 1], status[lo])
+        if lo < hi < len(status):
+            test(status[hi - 1], status[hi])
     return CrossingRelation(frozenset(pairs))
 
 

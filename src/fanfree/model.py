@@ -159,6 +159,16 @@ class StraightLineDrawing:
         )
 
     @cached_property
+    def sweep(self) -> CrossingRelation | None:
+        """``crossings.plane_sweep`` of this drawing, computed on first use
+        and kept: the crossing relation, or None when the sweep stops at a
+        degeneracy.  ``validate_simplicity`` and ``compute_crossings`` read
+        it for drawings with many edges, so they share one sweep."""
+        from . import crossings as _cr  # not at the top: crossings imports model
+
+        return _cr.plane_sweep(self)
+
+    @cached_property
     def crossings(self) -> CrossingRelation:
         """The exact crossing relation, computed on first use and kept.  Only
         a simple drawing has one: otherwise this raises SimplicityError (a

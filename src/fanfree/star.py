@@ -61,17 +61,6 @@ def edge_order(s: StarConfig) -> dict[int, list[int]]:
     return {e: [i for _sl, i in sorted(v)] for e, v in per.items()}
 
 
-def refined_cycle(s: StarConfig) -> tuple[tuple[str, int], ...]:
-    """Cyclic point order v_0, endpoints on e_0, v_1, endpoints on e_1, ..."""
-    per = edge_order(s)
-    out: list[tuple[str, int]] = []
-    for v in range(s.m):
-        out.append(("v", v))
-        for idx in per.get(v, []):
-            out.append(("a", idx))
-    return tuple(out)
-
-
 def _arrow_keys(s: StarConfig):
     """Each arrow's two cyclic position keys.
 
@@ -99,29 +88,6 @@ def arrows_cross(s: StarConfig, a: int, b: int) -> bool:
     if a == b:
         raise ValueError("an arrow does not cross itself")
     return star_drawing(s).crossings.crosses(s.m + a, s.m + b)
-
-
-def arrow_length(s: StarConfig, a: int) -> int:
-    """Number of vertices on the shorter boundary chain cut off by arrow a."""
-    start, exit, _ = s.arrows[a]
-    ccw = (exit - start) % s.m
-    cw = (start - exit - 1) % s.m
-    return min(ccw, cw)
-
-
-def short_arrow_witness(s: StarConfig, a: int) -> int:
-    """The unique vertex on a short arrow's short side.
-
-    For m = 3 both chains have one vertex; the counterclockwise side wins.
-    """
-    start, exit, _ = s.arrows[a]
-    ccw = (exit - start) % s.m
-    cw = (start - exit - 1) % s.m
-    if min(ccw, cw) != 1:
-        raise ValueError(f"arrow {a} is long (length {min(ccw, cw)})")
-    if ccw == 1:
-        return (start + 1) % s.m
-    return (start - 1) % s.m
 
 
 def star_drawing(s: StarConfig) -> AbstractDrawing:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fanfree.crossings import (
+    SWEEP_MIN_EDGES,
     SimplicityError,
     compute_crossings,
     find_k_fans,
@@ -386,3 +387,148 @@ def test_many_denominators_match_reference():
         outcomes["non-simple"] += not validate_simplicity(d).ok
     assert min(outcomes.values()) >= 30, outcomes
     assert big_lcm.bit_length() > 60
+
+
+# Drawings with SWEEP_MIN_EDGES edges or more: the plane sweep decides them,
+# and must give the relation of the all-pairs reference, or stop so that the
+# box sweeps give the report and the smallest degenerate pair.
+
+
+def assert_swept_like_reference(d):
+    """assert_matches_reference for a drawing the plane sweep runs on, plus
+    the sweep's own answer: the reference relation, or None exactly when the
+    drawing is not simple or has a self-loop or a duplicate edge."""
+    edges = d.graph.edges
+    assert len(edges) >= SWEEP_MIN_EDGES
+    pairs = assert_matches_reference(d)
+    clean = len(set(edges)) == len(edges) and all(u != v for u, v in edges)
+    if pairs is None or not validate_simplicity(d).ok or not clean:
+        assert d.sweep is None
+    else:
+        assert d.sweep.pairs == pairs
+    return pairs
+
+
+def test_families_above_the_sweep_threshold_match_reference():
+    from fanfree.constructions import (
+        gen_grid,
+        gen_kq_subdivision,
+        gen_straight_extremal,
+        gen_tri_plus_dual,
+    )
+
+    drawings = [gen_straight_extremal(n) for n in (19, 20, 21, 60)]
+    drawings += [gen_grid({3: 7, 4: 6}.get(k, 5), k) for k in range(3, 10)]
+    drawings += [gen_tri_plus_dual(5, 6), gen_kq_subdivision(8)]
+    for d in drawings:
+        assert assert_swept_like_reference(d) == d.crossings.pairs
+
+
+PENCIL_DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1), (2, 1), (1, 2), (1, -2), (3, -1))
+
+
+def pencil_drawing(rng: random.Random):
+    """At least SWEEP_MIN_EDGES segments: pencils of three to six segments
+    through one centre (so three or more cross at one point), with vertical
+    and horizontal ones among them and a vertex straight above or below each
+    centre, then edges between random vertices, old and new.
+    Returns the drawing and the edge indices of each pencil."""
+    coords, edges, pencils = [], [], []
+
+    def segment(p, q):
+        coords.extend((p, q))
+        edges.append((len(coords) - 2, len(coords) - 1))
+        return len(edges) - 1
+
+    def point(reach):
+        return (rng.randint(-reach, reach), rng.randint(-reach, reach))
+
+    for _ in range(rng.randint(1, 6)):
+        cx, cy = point(500)
+        pencil = []
+        for dx, dy in rng.sample(PENCIL_DIRECTIONS, rng.randint(3, 6)):
+            s, t = rng.randint(1, 90), rng.randint(1, 90)
+            pencil.append(segment((cx - s * dx, cy - s * dy), (cx + t * dx, cy + t * dy)))
+        pencils.append(pencil)
+        dx, dy = point(400)
+        segment((cx, cy + rng.choice((-1, 1)) * rng.randint(1, 400)), (cx + dx, cy + dy))
+    coords += [point(900) for _ in range(30)]
+    while len(edges) < SWEEP_MIN_EDGES:
+        u, v = sorted(rng.sample(range(len(coords)), 2))
+        if (u, v) not in edges:
+            edges.append((u, v))
+    d = StraightLineDrawing(Graph(len(coords), tuple(edges)), tuple(map(tuple, coords)))
+    return d, pencils
+
+
+def big_affine(d):
+    """d under a positive affine map with a 100-bit scale, offset and
+    denominator: every answer is kept, and every integer point is several
+    machine words long."""
+    big = 2**100 + 7
+    return StraightLineDrawing(
+        d.graph,
+        tuple(
+            (Fraction(big * x + 3**70, 2**90 + 1), Fraction(big * y - 5**40, 3**55))
+            for x, y in d.coords
+        ),
+    )
+
+
+def test_pencils_of_concurrent_crossings_match_reference():
+    rng = random.Random(19790901)
+    outcomes = {"simple": 0, "not simple": 0, "multi-limb": 0}
+    for trial in range(16):
+        d, pencils = pencil_drawing(rng)
+        if trial % 4 == 0:
+            d = big_affine(d)
+            outcomes["multi-limb"] += 1
+        pairs = assert_swept_like_reference(d)
+        if d.sweep is None:
+            outcomes["not simple"] += 1
+            continue
+        outcomes["simple"] += 1
+        for pencil in pencils:  # every pencil is one concurrent crossing
+            assert {(i, j) for i in pencil for j in pencil if i < j} <= pairs
+    assert min(outcomes.values()) >= 4, outcomes
+
+
+def test_non_simple_drawings_above_the_threshold_keep_report_and_pair():
+    from fanfree.constructions import gen_straight_extremal
+
+    d = gen_straight_extremal(30)
+    n, edges, coords = d.graph.n, d.graph.edges, list(d.coords)
+    (ax, ay), (bx, by) = coords[edges[0][0]], coords[edges[0][1]]
+    far = (Fraction(10**6), Fraction(-(10**6)))
+    variants = [
+        # a new vertex on the first edge's interior, joined far away
+        (n + 2, edges + ((n, n + 1),), coords + [((ax + bx) / 2, (ay + by) / 2), far]),
+        # two vertices on one point
+        (n, edges, coords[:-1] + [coords[0]]),
+        # an edge along the first one, from its end beyond its midpoint
+        (n + 1, edges + ((edges[0][0], n),), coords + [((ax + 3 * bx) / 4, (ay + 3 * by) / 4)]),
+    ]
+    for n2, edges2, coords2 in variants:
+        bad = StraightLineDrawing(Graph(n2, tuple(edges2)), tuple(coords2))
+        assert_swept_like_reference(bad)
+        assert not validate_simplicity(bad).ok and bad.sweep is None
+
+
+def test_one_plane_sweep_per_drawing_and_none_below_the_threshold(monkeypatch):
+    import fanfree.crossings as cr
+    from fanfree.constructions import gen_straight_extremal
+
+    d = gen_straight_extremal(30)
+    calls = []
+    real = cr.plane_sweep
+    monkeypatch.setattr(cr, "plane_sweep", lambda d: calls.append(d) or real(d))
+    large = StraightLineDrawing(d.graph, d.coords)
+    assert len(large.graph.edges) >= SWEEP_MIN_EDGES
+    assert validate_simplicity(large).ok
+    assert compute_crossings(large) == large.crossings == d.crossings
+    assert len(calls) == 1 and calls[0] is large
+    calls.clear()
+    small = gen_straight_extremal(18)
+    assert len(small.graph.edges) < SWEEP_MIN_EDGES
+    assert validate_simplicity(small).ok and compute_crossings(small) == small.crossings
+    assert calls == []

@@ -9,19 +9,17 @@ from fanfree.star import (
     BASE_CASE_ROWS,
     InconclusiveError,
     StarConfig,
-    arrow_length,
     arrows_cross,
     bound_b,
     canonical_form,
     classify_vertices,
+    edge_order,
     is_fan_free,
     legal_pairs,
     max_arrows,
     realize_star,
     reflect_star,
-    refined_cycle,
     rotate_star,
-    short_arrow_witness,
     star_drawing,
     sub_star,
     validate_star,
@@ -34,29 +32,18 @@ from fanfree.repro import brute_class_table
 from conftest import random_star
 
 
-# -- refined cycle and crossing predicate -----------------------------------
-
-def test_refined_cycle_no_arrows():
-    assert refined_cycle(StarConfig(3)) == (("v", 0), ("v", 1), ("v", 2))
-
-
-def test_refined_cycle_single_arrow():
-    s = StarConfig(3, ((0, 1, 0),))
-    assert refined_cycle(s) == (("v", 0), ("v", 1), ("a", 0), ("v", 2))
-
-
-def test_refined_cycle_two_arrows():
-    s = StarConfig(4, ((0, 1, 0), (1, 2, 0)))
-    assert refined_cycle(s) == (
-        ("v", 0), ("v", 1), ("a", 0), ("v", 2), ("a", 1), ("v", 3)
-    )
-
+# -- slot order and crossing predicate --------------------------------------
 
 def test_slot_order_respected():
+    # slot t on an edge is the t-th endpoint from its first vertex, so the
+    # edge order lists arrows by slot, and a star with no arrows has none
+    assert edge_order(StarConfig(3)) == {}
+    assert edge_order(StarConfig(4, ((0, 1, 0), (1, 2, 0)))) == {1: [0], 2: [1]}
     s = StarConfig(5, ((0, 2, 1), (1, 2, 0)))
-    assert refined_cycle(s) == (
-        ("v", 0), ("v", 1), ("v", 2), ("a", 1), ("a", 0), ("v", 3), ("v", 4)
-    )
+    assert edge_order(s) == {2: [1, 0]}
+    # nested on e_2: v_1's endpoint is nearer v_2, inside v_0's arrow
+    assert not arrows_cross(s, 0, 1)
+    assert arrows_cross(StarConfig(5, ((0, 2, 0), (1, 2, 1))), 0, 1)
 
 
 def test_triangle_arrows_cross():
@@ -123,22 +110,30 @@ def test_same_pair_multiplicity_fanned_by_exit_edge():
 # -- lengths, witnesses, classification --------------------------------------
 
 def test_arrow_length_examples():
-    assert arrow_length(StarConfig(5, ((0, 1, 0),)), 0) == 1
-    assert arrow_length(StarConfig(7, ((0, 2, 0),)), 0) == 2
-    for e in (1, 2):
-        assert arrow_length(StarConfig(4, ((0, e, 0),)), 0) == 1
+    # an arrow is short when one boundary chain it cuts off holds one vertex;
+    # legal_pairs(long_only=True) drops exactly those
+    assert (0, 1) not in legal_pairs(5, long_only=True)
+    assert (0, 2) in legal_pairs(7, long_only=True)
+    for e in (1, 2):  # at m = 4 both legal exits cut off a single vertex
+        assert (0, e) in legal_pairs(4) and (0, e) not in legal_pairs(4, long_only=True)
 
 
 def test_short_arrow_witness_examples():
-    assert short_arrow_witness(StarConfig(5, ((0, 1, 0),)), 0) == 1
-    assert short_arrow_witness(StarConfig(5, ((2, 3, 0),)), 0) == 3
-    with pytest.raises(ValueError):
-        short_arrow_witness(StarConfig(5, ((0, 2, 0),)), 0)
+    # a short arrow passes over the first vertex of the zero run after its
+    # start, so that run is not left-light; a long arrow leaves it so
+    L, R = "left-light", "right-light"
+    assert classify_vertices(StarConfig(5, ((0, 1, 0),))).tags == ("heavy", R, R, R, R)
+    assert classify_vertices(StarConfig(5, ((2, 3, 0),))).tags == (R, R, "heavy", R, R)
+    assert classify_vertices(StarConfig(5, ((0, 2, 0),))).tags == ("heavy", L, L, L, L)
 
 
 def test_witness_on_clockwise_side():
-    # arrow over its counterclockwise predecessor
-    assert short_arrow_witness(StarConfig(5, ((2, 0, 0),)), 0) == 1
+    # (2, 0) passes over its clockwise neighbour v_1, the last vertex of the
+    # run; with (2, 3) over the first vertex, neither end is free: v_1 is void
+    R = "right-light"
+    assert classify_vertices(StarConfig(5, ((2, 3, 0),))).tags == (R, R, "heavy", R, R)
+    s = StarConfig(5, ((2, 3, 0), (2, 0, 0)))
+    assert classify_vertices(s).tags == (R, "void", "heavy", R, R)
 
 
 def test_classify_all_heavy():
@@ -443,6 +438,16 @@ def test_geometric_soundness_of_combinatorial_crossing():
             assert is_fan_free(s, kk) == (not find_k_fans(d.graph, rel, kk))
 
 
+def short_arrow_witness(m, start, exit):
+    """The one vertex on a short arrow's short side (counterclockwise at
+    m = 3, where both sides have one), or None for a long arrow."""
+    if (exit - start) % m == 1:
+        return (start + 1) % m
+    if (start - exit - 1) % m == 1:
+        return (start - 1) % m
+    return None
+
+
 def test_witness_uniqueness_in_fan_free_configs():
     # no vertex witnesses two short arrows; no arrow starts at a witness
     rng = random.Random(808)
@@ -451,9 +456,9 @@ def test_witness_uniqueness_in_fan_free_configs():
         s = random_star(rng, m, 2)
         witnesses = {}
         starts = {a for a, _e, _t in s.arrows}
-        for i in range(len(s.arrows)):
-            if arrow_length(s, i) == 1:
-                w = short_arrow_witness(s, i)
+        for i, (start, exit, _slot) in enumerate(s.arrows):
+            w = short_arrow_witness(m, start, exit)
+            if w is not None:
                 assert w not in witnesses, (s, i)
                 witnesses[w] = i
                 assert w not in starts
