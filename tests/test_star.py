@@ -32,14 +32,43 @@ from fanfree.repro import brute_class_table
 from conftest import random_star
 
 
-# -- slot order and crossing predicate --------------------------------------
+# -- refined cycle and crossing predicate -----------------------------------
+
+def refined_cycle(s):
+    """Cyclic point order v_0, endpoints on e_0, v_1, endpoints on e_1, ..."""
+    per = edge_order(s)
+    out = []
+    for v in range(s.m):
+        out.append(("v", v))
+        out.extend(("a", idx) for idx in per.get(v, []))
+    return tuple(out)
+
+
+def test_refined_cycle_no_arrows():
+    assert edge_order(StarConfig(3)) == {}
+    assert refined_cycle(StarConfig(3)) == (("v", 0), ("v", 1), ("v", 2))
+
+
+def test_refined_cycle_single_arrow():
+    s = StarConfig(3, ((0, 1, 0),))
+    assert refined_cycle(s) == (("v", 0), ("v", 1), ("a", 0), ("v", 2))
+
+
+def test_refined_cycle_two_arrows():
+    s = StarConfig(4, ((0, 1, 0), (1, 2, 0)))
+    assert edge_order(s) == {1: [0], 2: [1]}
+    assert refined_cycle(s) == (
+        ("v", 0), ("v", 1), ("a", 0), ("v", 2), ("a", 1), ("v", 3)
+    )
+
 
 def test_slot_order_respected():
     # slot t on an edge is the t-th endpoint from its first vertex, so the
-    # edge order lists arrows by slot, and a star with no arrows has none
-    assert edge_order(StarConfig(3)) == {}
-    assert edge_order(StarConfig(4, ((0, 1, 0), (1, 2, 0)))) == {1: [0], 2: [1]}
+    # edge order lists arrows by slot
     s = StarConfig(5, ((0, 2, 1), (1, 2, 0)))
+    assert refined_cycle(s) == (
+        ("v", 0), ("v", 1), ("v", 2), ("a", 1), ("a", 0), ("v", 3), ("v", 4)
+    )
     assert edge_order(s) == {2: [1, 0]}
     # nested on e_2: v_1's endpoint is nearer v_2, inside v_0's arrow
     assert not arrows_cross(s, 0, 1)
