@@ -157,12 +157,11 @@ def _straight_parts(n: int):
         raise ValueError(f"the straight-line family needs n >= 6, got {n}")
     r = n % 3
     levels = {0: n // 3, 1: (n - 4) // 3, 2: (n - 5) // 3}[r]
-    base = [(Fraction(0), Fraction(16)), (Fraction(-16), Fraction(-16)),
-            (Fraction(16), Fraction(-16))]
     coords: list[tuple[Fraction, Fraction]] = []
     for j in range(levels):
-        scale = Fraction(4) ** j
-        coords.extend((x * scale, y * scale) for x, y in base)
+        scale = 4**j
+        coords.extend((Fraction(x * scale), Fraction(y * scale))
+                      for x, y in ((0, 16), (-16, -16), (16, -16)))
     edges = []
     quads = []
     for j in range(levels):

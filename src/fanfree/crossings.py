@@ -365,28 +365,30 @@ def plane_sweep(d: StraightLineDrawing) -> CrossingRelation | None:
 
 
 def find_k_fans(g: Graph, c: CrossingRelation, k: int) -> list[FanWitness]:
-    """All (crosser, apex) pairs where the crosser crosses >= k edges at apex.
-
-    The fan reported for each witness is the k lexicographically smallest
-    members of the apex bucket.  Empty result iff the drawing is
-    k-fan-crossing free.
-    """
+    """All (crosser, apex) pairs, in that order, where the crosser crosses
+    >= k edges at apex, each with the k lowest-indexed of them as its fan.
+    Empty iff the drawing is k-fan-crossing free.  One pass over the pairs
+    counts, and the crossing lists are built only if some count reaches k."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    n, edges = g.n, g.edges
+    counts: dict[int, int] = {}
+    hot = []  # keys crosser * n + apex, whose order is (crosser, apex) order
+    for i, j in c.pairs:
+        for key in (i * n + edges[j][0], i * n + edges[j][1],
+                    j * n + edges[i][0], j * n + edges[i][1]):
+            count = counts[key] = counts.get(key, 0) + 1
+            if count == k:
+                hot.append(key)
+    # not c.adjacency: a copy cached on the caller's relation would outlive
+    # this call
+    crossed = crossing_lists(c.pairs) if hot else {}
     witnesses = []
-    # not c.adjacency: callers keep their relations, and a cached copy on
-    # each one would outlive this call
-    for crosser, crossed in sorted(crossing_lists(c.pairs).items()):
-        buckets: dict[int, list[int]] = {}
-        for e in crossed:
-            for v in g.edges[e]:
-                buckets.setdefault(v, []).append(e)
-        gu, gv = g.edges[crosser]
-        for apex in sorted(buckets):
-            fan = buckets[apex]
-            if len(fan) >= k:
-                assert apex not in (gu, gv), "crosser incident to its own apex"
-                witnesses.append(FanWitness(crosser, apex, tuple(sorted(fan)[:k])))
+    for key in sorted(hot):
+        crosser, apex = divmod(key, n)
+        assert apex not in edges[crosser], "crosser incident to its own apex"
+        fan = tuple(e for e in crossed[crosser] if apex in edges[e])[:k]
+        witnesses.append(FanWitness(crosser, apex, fan))
     return witnesses
 
 

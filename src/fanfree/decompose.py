@@ -5,11 +5,15 @@ excluded edge by two arrows, and the per-face / global bound audits.
 Face complexity counts an edge twice when it bounds the face on both
 sides; boundary chains of a face are its closed walks (isolated vertices
 degenerate to zero-length chains).
+
+Every kernel reads the integer points ``d.points`` inline.  The rotation
+system inserts each dart by the sign of one cross product, the face walks
+follow one successor map and sum their areas as they go, an arrow's first
+hit is found by cross-multiplication, and H's components are found once.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,8 +35,9 @@ def maximal_plane_subgraph(
     in_h = [False] * len(g.edges)
     chosen: list[int] = []
     excluded: list[int] = []
+    adjacency = c.adjacency
     for i in range(len(g.edges)):
-        if any(in_h[j] for j in c.adjacency.get(i, ())):
+        if i in adjacency and any(in_h[j] for j in adjacency[i]):
             excluded.append(i)
         else:
             chosen.append(i)
@@ -40,36 +45,27 @@ def maximal_plane_subgraph(
     return chosen, excluded
 
 
-def _half(d) -> int:
-    dx, dy = d
-    return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-
-def _direction_cmp(d1, d2) -> int:
-    """Comparator for ccw angular order of direction vectors around a vertex."""
-    h1, h2 = _half(d1), _half(d2)
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
-    cr = d1[0] * d2[1] - d1[1] * d2[0]
-    return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-
-_DIRECTION_KEY = functools.cmp_to_key(_direction_cmp)
-
-
-def _sorted_rotation(pts, g: Graph, h_edges: list[int]):
-    """For each vertex the ccw-sorted list of (neighbor, edge index) of H,
-    on the drawing's integer points."""
-    rot: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+def _rotation(pts, g: Graph, h_edges: list[int]) -> list[list[tuple]]:
+    """For each vertex, (w, dx, dy) for each H neighbour w in ccw order,
+    (dx, dy) the direction to w.  Directions with dy > 0 or (dy = 0, dx > 0)
+    come first; within one half-plane d1 precedes d2 iff d1 x d2 > 0 (the
+    drawing is simple, so no two H edges at a vertex point the same way)."""
+    upper: list[list[tuple]] = [[] for _ in range(g.n)]
+    lower: list[list[tuple]] = [[] for _ in range(g.n)]
+    edges = g.edges
     for i in h_edges:
-        u, v = g.edges[i]
-        rot[u].append((v, i))
-        rot[v].append((u, i))
-    for v, darts in enumerate(rot):
-        px, py = pts[v]
-        darts.sort(key=lambda dart: _DIRECTION_KEY(
-            (pts[dart[0]][0] - px, pts[dart[0]][1] - py)))
-    return rot
+        u, v = edges[i]
+        (ux, uy), (vx, vy) = pts[u], pts[v]
+        for a, b, dx, dy in ((u, v, vx - ux, vy - uy), (v, u, ux - vx, uy - vy)):
+            half = upper[a] if dy > 0 or (dy == 0 and dx > 0) else lower[a]
+            at = len(half)
+            while at:
+                _w, ex, ey = half[at - 1]
+                if ex * dy - ey * dx > 0:
+                    break
+                at -= 1
+            half.insert(at, (b, dx, dy))
+    return [up + low for up, low in zip(upper, lower)]
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ class Walk:
 
     @property
     def rep_vertex(self) -> int:
-        return min(u for u, _v in self.darts)
+        return min(self.darts)[0]
 
 
 @dataclass(frozen=True)
@@ -101,10 +97,12 @@ class Face:
 class FaceSet:
     """The faces of H, ids in ``faces`` order, and ``dart_face``: the id of
     the face on the left of each dart (u, v) of an H edge.  An isolated
-    vertex of H lies in the face whose ``isolated`` lists it."""
+    vertex of H lies in the face whose ``isolated`` lists it, and counts as
+    one of H's ``components``."""
 
     faces: tuple[Face, ...]
     dart_face: dict
+    components: int
 
 
 def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
@@ -118,38 +116,34 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
         raise ValueError("trace_faces requires a crossing-free edge set")
 
     pts = d.points
-    rot = _sorted_rotation(pts, g, h_edges)
-    rot_pos = [
-        {nbr: k for k, (nbr, _e) in enumerate(r)} for r in rot
-    ]
+    rot = _rotation(pts, g, h_edges)
+    # face-on-left traversal: dart (u, v) is followed by (v, w), w the
+    # ccw-predecessor of u around v
+    succ = {}
+    for v, ring in enumerate(rot):
+        for at, (u, _dx, _dy) in enumerate(ring):
+            succ[u, v] = ring[at - 1][0]
 
     walks: list[Walk] = []
-    seen: set[tuple[int, int]] = set()
     for i in h_edges:
-        for u, v in (g.edges[i], g.edges[i][::-1]):
-            if (u, v) in seen:
+        u, v = g.edges[i]
+        for start in ((u, v), (v, u)):
+            if start not in succ:
                 continue
             darts = []
-            cu, cv = u, v
-            while (cu, cv) not in seen:
-                seen.add((cu, cv))
-                darts.append((cu, cv))
-                # face-on-left traversal: turn to the ccw-predecessor of the
-                # dart pointing back where we came from
-                pos = rot_pos[cv][cu]
-                nxt = rot[cv][(pos - 1) % len(rot[cv])][0]
-                cu, cv = cv, nxt
             area2 = 0
-            for a, b in darts:
-                (xa, ya), (xb, yb) = pts[a], pts[b]
+            a, b = start
+            xa, ya = pts[a]
+            w = succ.pop(start)
+            while w is not None:
+                darts.append((a, b))
+                xb, yb = pts[b]
                 area2 += xa * yb - xb * ya
+                a, b, xa, ya = b, w, xb, yb
+                w = succ.pop((a, b), None)
             walks.append(Walk(tuple(darts), area2))
 
-    in_h = set()
-    for i in h_edges:
-        in_h.update(g.edges[i])
-    isolated = [v for v in range(g.n) if v not in in_h]
-
+    isolated = [v for v in range(g.n) if not rot[v]]
     comp = _component_ids(g, h_edges)
     outer_walks = [w for w in walks if w.area2 > 0]
     hole_walks = [w for w in walks if w.area2 <= 0]
@@ -182,8 +176,10 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
                     best = wi
         return best
 
+    # each face's holes in order of their least dart, its isolated vertices
+    # ascending
     hole_of: dict[int | None, list[Walk]] = {}
-    for w in hole_walks:
+    for w in sorted(hole_walks, key=lambda w: min(w.darts)):
         hole_of.setdefault(innermost(w.rep_vertex), []).append(w)
     iso_of: dict[int | None, list[int]] = {}
     for v in isolated:
@@ -192,28 +188,21 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
     order = sorted(range(len(outer_walks)), key=lambda wi: min(outer_walks[wi].darts))
     faces: list[Face] = []
     dart_face: dict = {}
-    for fid, wi in enumerate(order):
-        outer = outer_walks[wi]
-        holes = tuple(sorted(hole_of.get(wi, []), key=lambda w: min(w.darts)))
-        iso = tuple(sorted(iso_of.get(wi, [])))
-        complexity = len(outer.darts) + sum(len(w.darts) for w in holes)
-        chains = 1 + len(holes) + len(iso)
-        faces.append(Face(fid, True, outer, holes, iso, complexity, chains))
-        for dart in outer.darts:
-            dart_face[dart] = fid
-        for w in holes:
+    # the bounded faces, in order of their least dart, then the unbounded
+    # one: every chain of it is a hole, there is no outer walk
+    for fid, wi in enumerate(order + [None]):
+        outer = None if wi is None else outer_walks[wi]
+        holes = tuple(hole_of.get(wi, ()))
+        iso = tuple(iso_of.get(wi, ()))
+        chains = holes if outer is None else (outer,) + holes
+        complexity = 0
+        for w in chains:
+            complexity += len(w.darts)
             for dart in w.darts:
                 dart_face[dart] = fid
-    # unbounded face: every chain is a hole, there is no outer walk
-    fid = len(order)
-    holes = tuple(sorted(hole_of.get(None, []), key=lambda w: min(w.darts)))
-    iso = tuple(sorted(iso_of.get(None, [])))
-    complexity = sum(len(w.darts) for w in holes)
-    faces.append(Face(fid, False, None, holes, iso, complexity, len(holes) + len(iso)))
-    for w in holes:
-        for dart in w.darts:
-            dart_face[dart] = fid
-    return FaceSet(tuple(faces), dart_face)
+        faces.append(Face(fid, outer is not None, outer, holes, iso, complexity,
+                          len(chains) + len(iso)))
+    return FaceSet(tuple(faces), dart_face, len(set(comp)))
 
 
 def _component_ids(g: Graph, h_edges: list[int]) -> list[int]:
@@ -260,16 +249,6 @@ def intersection_param(u, w, p, q) -> Fraction:
     return Fraction(num, den)
 
 
-def _first_hit(pts, edges, u, w, hits: list[int]) -> tuple[Fraction, int]:
-    """Parameter and index of the first of the H edges ``hits`` met going
-    from u to w; the lowest index wins a tie."""
-    a, b = pts[u], pts[w]
-    return min(
-        (intersection_param(a, b, pts[edges[h][0]], pts[edges[h][1]]), h)
-        for h in hits
-    )
-
-
 def arrowize(
     d: StraightLineDrawing,
     h_edges: list[int],
@@ -282,23 +261,39 @@ def arrowize(
     The open segment from the start s to the first H edge (a, b) it crosses
     meets no H edge and no vertex (the drawing is simple), so it lies in one
     face: the one left of the dart of (a, b) that has s on its left.  The
-    crossing is proper, so s is never on the line through a and b."""
-    g = d.graph
-    c = d.crossings
+    crossing is proper, so s is never on the line through a and b.
+
+    Each hit is at t = num / den as in ``intersection_param``, compared by
+    cross-multiplication with den > 0 in ascending edge order (the lowest
+    index wins a tie); the sign of the unnormalized num is orient(a, b, s)."""
+    edges = d.graph.edges
+    adjacency = d.crossings.adjacency
     pts = d.points
+    dart_face = faceset.dart_face
     in_h = set(h_edges)
     records = []
     for ke in k_edges:
-        u, w = g.edges[ke]
-        hits = [h for h in c.adjacency.get(ke, ()) if h in in_h]
+        u, w = edges[ke]
+        hits = [h for h in adjacency.get(ke, ()) if h in in_h]
         if not hits:
             raise ValueError(f"excluded edge {ke} crosses no H edge: H is not maximal")
-        for s, t_ in ((u, w), (w, u)):
-            tpar, hedge = _first_hit(pts, g.edges, s, t_, hits)
-            a, b = g.edges[hedge]
-            if orient(pts[a], pts[b], pts[s]) < 0:
-                a, b = b, a
-            records.append(ArrowRecord(ke, s, faceset.dart_face[a, b], hedge, tpar))
+        for s, e in ((u, w), (w, u)):
+            (sx, sy), (ex, ey) = pts[s], pts[e]
+            best = None
+            for h in hits:
+                a, b = edges[h]
+                (ax, ay), (bx, by) = pts[a], pts[b]
+                hx, hy = bx - ax, by - ay
+                num = (ax - sx) * hy - (ay - sy) * hx
+                den = (ex - sx) * hy - (ey - sy) * hx
+                s_left = num > 0
+                if den < 0:
+                    num, den = -num, -den
+                if best is None or num * best_den < best_num * den:
+                    best, best_num, best_den, best_left = h, num, den, s_left
+            a, b = edges[best]
+            face = dart_face[(a, b) if best_left else (b, a)]
+            records.append(ArrowRecord(ke, s, face, best, Fraction(best_num, best_den)))
     return records
 
 
@@ -375,7 +370,7 @@ def audit(d: StraightLineDrawing, k: int = 2) -> DecompositionReport:
             )
         audits.append(FaceAudit(f.id, f.complexity, f.chains, a_f, k, bound, passed))
 
-    comps = component_count(g, h_edges)
+    comps = faceset.components
     r = len(faceset.faces)
     sum_m = sum(f.complexity for f in faceset.faces)
     sum_p = sum(f.chains - 1 for f in faceset.faces)

@@ -11,6 +11,20 @@ def F(x, y):
     return (Fraction(x), Fraction(y))
 
 
+def big_affine(d):
+    """d under a positive affine map with a 100-bit scale, offset and
+    denominator: every answer is kept, and every integer point is several
+    machine words long."""
+    big = 2**100 + 7
+    return StraightLineDrawing(
+        d.graph,
+        tuple(
+            (Fraction(big * x + 3**70, 2**90 + 1), Fraction(big * y - 5**40, 3**55))
+            for x, y in d.coords
+        ),
+    )
+
+
 @pytest.fixture
 def fan_fixture():
     """v at the origin with spokes to a and b, both cut by the vertical

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,10 @@ from fanfree.crossings import (
     is_k_fan_free,
     validate_simplicity,
 )
-from fanfree.model import Graph, StraightLineDrawing
+from fanfree.model import FanWitness, Graph, StraightLineDrawing, crossing_lists
 from fanfree.repro import naive_fan_oracle, random_drawing
 
-from conftest import F
+from conftest import F, big_affine, random_star
 
 
 def test_disjoint_segments_do_not_cross():
@@ -127,6 +128,49 @@ def test_oracle_equivalence_random_drawings():
         for k in (2, 3, 4):
             fast = {(w.crosser, w.apex) for w in find_k_fans(d.graph, c, k)}
             assert fast == naive_fan_oracle(d.graph, c, k)
+
+
+def _bucket_fans(g, c, k):
+    """The fan detector as it once was: per crosser, in crosser order, a
+    bucket per apex of the crossed edges there, in edge order."""
+    witnesses = []
+    for crosser, crossed in sorted(crossing_lists(c.pairs).items()):
+        buckets = {}
+        for e in crossed:
+            for v in g.edges[e]:
+                buckets.setdefault(v, []).append(e)
+        for apex in sorted(buckets):
+            fan = buckets[apex]
+            if len(fan) >= k:
+                witnesses.append(FanWitness(crosser, apex, tuple(sorted(fan)[:k])))
+    return witnesses
+
+
+def test_find_k_fans_lists_the_bucket_witnesses_in_order():
+    """The whole witness list, in order and with each fan, equals the bucket
+    detector's on seeded random drawings, on seeded stars and on the
+    generated families, for k = 2..4."""
+    from fanfree.constructions import (
+        gen_grid,
+        gen_kq_subdivision,
+        gen_straight_extremal,
+        gen_tri_plus_dual,
+    )
+    from fanfree.star import star_drawing
+
+    rng = random.Random(424242)
+    drawings = [random_drawing(rng, max_edges=rng.choice((20, 40))) for _ in range(80)]
+    drawings += [star_drawing(random_star(rng, m, rng.randint(2, 4), attempts=40))
+                 for m in range(3, 10) for _ in range(6)]
+    drawings += [gen_straight_extremal(20), gen_kq_subdivision(6), gen_tri_plus_dual(4, 5)]
+    drawings += [gen_grid(5, k) for k in range(3, 8)]
+    found = Counter()
+    for d in drawings:
+        for k in (2, 3, 4):
+            fans = find_k_fans(d.graph, d.crossings, k)
+            assert fans == _bucket_fans(d.graph, d.crossings, k)
+            found[k] += len(fans)
+    assert min(found.values()) > 0
 
 
 def test_adjacent_edges_never_in_relation():
@@ -319,20 +363,6 @@ def assert_matches_reference(d):
         return None
     assert compute_crossings(d).pairs == want_pairs
     return want_pairs
-
-
-def big_affine(d):
-    """d under a positive affine map with a 100-bit scale, offset and
-    denominator: every answer is kept, and every integer point is several
-    machine words long."""
-    big = 2**100 + 7
-    return StraightLineDrawing(
-        d.graph,
-        tuple(
-            (Fraction(big * x + 3**70, 2**90 + 1), Fraction(big * y - 5**40, 3**55))
-            for x, y in d.coords
-        ),
-    )
 
 
 def test_straight_family_with_multi_limb_coordinates_matches_reference():

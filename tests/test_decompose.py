@@ -1,25 +1,36 @@
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
+from math import gcd
 
 import pytest
 
 from fanfree.crossings import SimplicityError, compute_crossings
-from fanfree.constructions import gen_grid, gen_quad_extremal, gen_straight_extremal
+from fanfree.constructions import (
+    gen_grid,
+    gen_kq_subdivision,
+    gen_quad_extremal,
+    gen_straight_extremal,
+    gen_tri_plus_dual,
+)
 from fanfree.decompose import (
+    _rotation,
     arrowize,
     audit,
     audit_abstract,
     component_count,
     face_arrow_bound,
     maximal_plane_subgraph,
+    report_to_json,
     trace_faces,
 )
 from fanfree.model import Graph, StraightLineDrawing
-from fanfree.repro import random_fan_free_drawing
+from fanfree.repro import random_drawing, random_fan_free_drawing
 
-from conftest import F
+from conftest import F, big_affine
 
 
 def x_drawing():
@@ -274,3 +285,94 @@ def test_non_simple_drawing_has_no_crossing_relation():
         d.crossings
     with pytest.raises(SimplicityError):
         audit(d, 2)
+
+
+# sha256 of the sorted-key JSON of every case's ``report_to_json(audit(d, k))``,
+# recorded from the audit that sorted each rotation with a comparator, looked
+# darts up in per-vertex position dicts and built one Fraction per candidate
+# first hit
+AUDIT_PINNED_DIGEST = "da0d91a685f8c69ea89884358597d21fc2ade2d0f28e89938cf81a3d5c57360c"
+
+
+def test_audit_outputs_are_pinned():
+    """A faster audit must give the same report: the same H, arrows, first
+    hits, parameters, faces and verdicts.  The seeded random drawing is
+    fan-free, its H has several components and it has a vertex outside H."""
+    loose = random_drawing(random.Random(60))
+    cases = [
+        (gen_straight_extremal(31), 2),
+        (gen_straight_extremal(120), 2),
+        (gen_grid(8, 5), 5),
+        (gen_kq_subdivision(5), 2),
+        (gen_kq_subdivision(12), 2),
+        (gen_tri_plus_dual(5, 6), 4),
+        (loose, 2),
+    ]
+    digest = hashlib.sha256()
+    for d, k in cases:
+        rep = audit(d, k)
+        assert rep.ok
+        digest.update(json.dumps(report_to_json(rep), sort_keys=True).encode())
+    in_h = {v for i in rep.h_edges for v in loose.graph.edges[i]}
+    assert rep.components >= 2 and len(in_h) < loose.graph.n and rep.arrows
+    assert digest.hexdigest() == AUDIT_PINNED_DIGEST
+
+
+def _direction_cmp(d1, d2) -> int:
+    """The comparator the rotation system was once sorted with: ccw order,
+    starting at the direction (1, 0)."""
+
+    def half(d):
+        return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
+
+    h1, h2 = half(d1), half(d2)
+    if h1 != h2:
+        return -1 if h1 < h2 else 1
+    cr = d1[0] * d2[1] - d1[1] * d2[0]
+    return -1 if cr > 0 else (1 if cr < 0 else 0)
+
+
+def _seeded_star(rng: random.Random, size: int) -> StraightLineDrawing:
+    """Vertex 0 at the origin joined to ``size`` vertices in distinct
+    primitive directions, scaled by random lengths.  The four axis
+    directions and some opposite pairs are always among them."""
+    dirs = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    while len(dirs) < size:
+        x, y = rng.randint(-9, 9), rng.randint(-9, 9)
+        if gcd(x, y) == 1 and (x, y) not in dirs:
+            dirs.append((x, y))
+            if rng.random() < 0.3 and (-x, -y) not in dirs:
+                dirs.append((-x, -y))
+    rng.shuffle(dirs)
+    coords = [F(0, 0)]
+    for x, y in dirs:
+        length = rng.randint(1, 5)
+        coords.append(F(x * length, y * length))
+    g = Graph(len(coords), tuple((0, i) for i in range(1, len(coords))))
+    return StraightLineDrawing(g, tuple(coords))
+
+
+def test_rotation_matches_the_direction_comparator():
+    """The insertion kernel orders each vertex's H neighbours as a sort with
+    the old comparator does, on seeded stars of integer directions and on
+    the same stars with 100-bit coordinates; a positive affine map keeps
+    the cyclic order."""
+    rng = random.Random(1212)
+    for _ in range(60):
+        star = _seeded_star(rng, rng.randint(4, 24))
+        h = list(range(len(star.graph.edges)))
+        cyclic = None
+        for d in (star, big_affine(star)):
+            pts = d.points
+            (cx, cy) = pts[0]
+            want = sorted(range(1, d.graph.n), key=cmp_to_key(
+                lambda a, b: _direction_cmp((pts[a][0] - cx, pts[a][1] - cy),
+                                            (pts[b][0] - cx, pts[b][1] - cy))))
+            rot = _rotation(pts, d.graph, h)
+            assert [w for w, _dx, _dy in rot[0]] == want
+            assert all([w for w, _dx, _dy in rot[v]] == [0] for v in range(1, d.graph.n))
+            at = want.index(1)
+            if cyclic is None:
+                cyclic = want[at:] + want[:at]
+            assert want[at:] + want[:at] == cyclic
+    assert max(abs(c).bit_length() for p in pts for c in p) > 100
