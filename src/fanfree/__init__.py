@@ -28,7 +28,6 @@ from .star import (
     StarConfig,
     bound_b,
     classify_vertices,
-    is_fan_free,
     max_arrows,
     verify_base_cases,
 )

@@ -4,10 +4,10 @@ the n = 7 and n = 9 nonexistence results."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .model import AbstractDrawing, Graph, StraightLineDrawing
+from .model import SCHEMA_VERSION, AbstractDrawing, Graph, StraightLineDrawing
 from .crossings import find_k_fans
 
 
@@ -21,6 +21,14 @@ def upper_bound(n: int, k: int, straight: bool = False) -> int:
     if k == 2:
         return 4 * n - 9 if straight else 4 * n - 8
     return 3 * (k - 1) * (n - 2)
+
+
+def edge_limit(n: int, k: int, straight: bool = False) -> int:
+    """The proven edge limit: ``upper_bound``, lowered at k = 2 to the exact
+    maximum ``exact_extremal_k2``, which holds for every drawing,
+    straight-line or not."""
+    bound = upper_bound(n, k, straight)
+    return min(bound, exact_extremal_k2(n)[0]) if k == 2 else bound
 
 
 REASON_SMALL = "K_n is fan-crossing free for n <= 6, so the complete graph is extremal"
@@ -111,10 +119,9 @@ def check_graph_against_bounds(
     g = obj if isinstance(obj, Graph) else obj.graph
     bound = upper_bound(g.n, k, straight)
     exact = exact_extremal_k2(g.n)[0] if k == 2 else None
+    limit = edge_limit(g.n, k, straight)
     m = len(g.edges)
     fan_free = None if isinstance(obj, Graph) else not find_k_fans(g, obj.crossings, k)
-    # the exact k = 2 maximum holds for every drawing, straight-line or not
-    limit = bound if exact is None else min(exact, bound)
     falsification = bool(fan_free) and m > limit
     if falsification:
         verdict = "falsification"
@@ -149,16 +156,4 @@ def check_graph_against_bounds(
 
 
 def report_to_json(rep: BoundReport) -> dict:
-    return {
-        "schema": 1,
-        "n": rep.n,
-        "k": rep.k,
-        "straight": rep.straight,
-        "edges": rep.edges,
-        "bound": rep.bound,
-        "exact_extremal": rep.exact_extremal,
-        "verdict": rep.verdict,
-        "fan_free_checked": rep.fan_free_checked,
-        "falsification": rep.falsification,
-        "reason": rep.reason,
-    }
+    return {"schema": SCHEMA_VERSION, **asdict(rep)}

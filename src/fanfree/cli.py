@@ -23,6 +23,7 @@ from . import repro as _repro
 from . import star as _star
 from .crossings import find_k_fans
 from .model import (
+    SCHEMA_VERSION,
     AbstractDrawing,
     Graph,
     StraightLineDrawing,
@@ -36,6 +37,11 @@ EXIT_WITNESS = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
+
+
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
 
 
 def _env_budget() -> int | None:
@@ -74,7 +80,7 @@ def cmd_check(args) -> int:
     g, rel = obj.graph, obj.crossings
     fans = find_k_fans(g, rel, args.k)
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "k": args.k,
         "fan_free": not fans,
         "witnesses": [
@@ -82,8 +88,7 @@ def cmd_check(args) -> int:
         ],
     }
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        _write_json(args.json, payload)
     if fans:
         for w in fans:
             print(f"{args.k}-fan: edge {w.crosser} crosses {list(w.fan)} at vertex {w.apex}")
@@ -100,14 +105,13 @@ def cmd_audit(args) -> int:
         ok = rep.ok
     elif isinstance(obj, AbstractDrawing):
         payload = _dec.audit_abstract(obj, args.k)
-        payload["schema"] = 1
+        payload["schema"] = SCHEMA_VERSION
         ok = payload["edge_bound_ok"]
     else:
         print("input has no drawing data", file=sys.stderr)
         return EXIT_USAGE
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        _write_json(args.report, payload)
     if not ok:
         _archive_falsification(payload, args.input)
         print("FALSIFICATION: a proven bound failed on a verified input", file=sys.stderr)
@@ -122,8 +126,7 @@ def _archive_falsification(payload: dict, source) -> str:
     while os.path.exists(path):
         i += 1
         path = f"falsification-{i}.json"
-    with open(path, "w") as fh:
-        json.dump({"source": str(source), "report": payload}, fh, indent=2, sort_keys=True)
+    _write_json(path, {"source": str(source), "report": payload})
     print(f"counterexample archived to {path}", file=sys.stderr)
     return path
 
@@ -152,7 +155,7 @@ def cmd_star_search(args) -> int:
     print(res.maximum if res.maximum is not None else "infeasible")
     if args.json:
         payload = {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "m": args.m,
             "k": args.k,
             "maximum": res.maximum,
@@ -162,8 +165,7 @@ def cmd_star_search(args) -> int:
                 {"m": c.m, "arrows": [list(a) for a in c.arrows]} for c in res.configs
             ],
         }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        _write_json(args.json, payload)
     return EXIT_OK
 
 
@@ -177,10 +179,13 @@ def cmd_bounds(args) -> int:
         if rep.falsification:
             _archive_falsification(payload, args.input)
             return EXIT_WITNESS
+    elif args.n is None:
+        print("bounds needs --n or --input", file=sys.stderr)
+        return EXIT_USAGE
     else:
         value = _bounds.upper_bound(args.n, args.k, args.straight)
         payload = {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "n": args.n,
             "k": args.k,
             "straight": args.straight,
@@ -194,8 +199,7 @@ def cmd_bounds(args) -> int:
         else:
             print(f"bound {value}")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        _write_json(args.json, payload)
     return EXIT_OK
 
 
@@ -274,15 +278,14 @@ def cmd_repro(args) -> int:
     print(f"-- {n_pass}/{len(claims)} claims pass")
     if args.out:
         payload = {
-            "schema": 1,
+            "schema": SCHEMA_VERSION,
             "claims": [
                 {"name": c.name, "status": c.status, "detail": c.detail,
                  "seconds": round(c.seconds, 3)}
                 for c in claims
             ],
         }
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        _write_json(args.out, payload)
     return worst
 
 

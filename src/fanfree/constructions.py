@@ -2,8 +2,9 @@
 
 Every generator verifies its own output with the exact checkers before
 returning (simple graph, simplicity of coordinates where present, the
-expected crossing pattern, and fan-freeness at the family's k).  A
-verification failure is a construction bug or a falsification and raises.
+expected crossing pattern, and fan-freeness at the family's k), all in
+``_verified``.  A verification failure is a construction bug or a
+falsification and raises ConstructionError.
 """
 
 from __future__ import annotations
@@ -31,13 +32,21 @@ def _check(cond: bool, what: str):
         raise ConstructionError(f"self-verification failed: {what}")
 
 
-def _simple_crossings(d: StraightLineDrawing, what: str) -> CrossingRelation:
-    """``d.crossings`` of a generated drawing; one that is not simple is a
-    construction bug, so its SimplicityError becomes a ConstructionError."""
+def _verified(d, k: int, what: str, pairs=None):
+    """``d`` once it passes the self-checks: a simple graph, a simple drawing
+    (a SimplicityError is a construction bug, so it becomes a
+    ConstructionError), exactly the crossing ``pairs`` when they are given,
+    and no k-fan."""
+    _check(validate_graph(d.graph) is None, f"{what} graph invalid")
     try:
-        return d.crossings
+        rel = d.crossings
     except SimplicityError as exc:
         raise ConstructionError(f"self-verification failed: {what}: {exc}") from exc
+    if pairs is not None:
+        _check(rel.pairs == frozenset(pairs), f"{what} crossings are not the designed pairs")
+    fans = find_k_fans(d.graph, rel, k)
+    _check(not fans, f"{what} has a {k}-fan: {fans[:1]}")
+    return d
 
 
 def is_bipartite(n: int, edges) -> bool:
@@ -130,15 +139,15 @@ def gen_quad_extremal(n: int) -> AbstractDrawing:
         i2 = len(edges)
         edges.append((q, s))
         pairs.add((i1, i2))
-    g = Graph(n, tuple(edges))
-    _check(validate_graph(g) is None, f"quad-extremal n={n} graph invalid")
     _check(len(edges) == 4 * n - 8, f"quad-extremal n={n} edge count")
     _check(len(faces) == n - 2, f"quad-extremal n={n} face count")
     _check(len(q_edges) == 2 * n - 4, f"quad-extremal n={n} skeleton size")
     _check(is_bipartite(n, q_edges), f"quad-extremal n={n} skeleton not bipartite")
-    rel = CrossingRelation(frozenset(pairs))
-    _check(not find_k_fans(g, rel, 2), f"quad-extremal n={n} has a fan crossing")
-    return AbstractDrawing(g, rel, provenance=f"quad-extremal(n={n})")
+    d = AbstractDrawing(
+        Graph(n, tuple(edges)), CrossingRelation(frozenset(pairs)),
+        provenance=f"quad-extremal(n={n})",
+    )
+    return _verified(d, 2, f"quad-extremal n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +224,9 @@ def gen_straight_extremal(n: int) -> StraightLineDrawing:
         i2 = len(edges)
         edges.append((q, s))
         expected_pairs.add((i1, i2))
-    g = Graph(n, tuple(edges))
-    _check(validate_graph(g) is None, f"straight-extremal n={n} graph invalid")
     _check(len(edges) == 4 * n - 9, f"straight-extremal n={n} edge count")
-    d = StraightLineDrawing(g, tuple(coords))
-    rel = _simple_crossings(d, f"straight-extremal n={n}")
-    _check(
-        rel.pairs == frozenset(expected_pairs),
-        f"straight-extremal n={n} crossing pattern is not one pair per face",
-    )
-    _check(not find_k_fans(g, rel, 2), f"straight-extremal n={n} has a fan crossing")
-    return d
+    d = StraightLineDrawing(Graph(n, tuple(edges)), tuple(coords))
+    return _verified(d, 2, f"straight-extremal n={n}", expected_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +280,8 @@ def gen_grid(side: int, k: int) -> StraightLineDrawing:
                 nx, ny = x + dx, y + dy
                 if 0 <= nx < side and 0 <= ny < side:
                     edges.append((vid(x, y), vid(nx, ny)))
-    g = Graph(n, tuple(edges))
-    _check(validate_graph(g) is None, f"grid side={side} k={k} graph invalid")
-    d = StraightLineDrawing(g, coords)
-    fans = find_k_fans(g, _simple_crossings(d, f"grid side={side} k={k}"), k)
-    _check(not fans, f"grid side={side} k={k} has a {k}-fan: {fans[:1]}")
-    return d
+    d = StraightLineDrawing(Graph(n, tuple(edges)), coords)
+    return _verified(d, k, f"grid side={side} k={k}")
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +311,10 @@ def gen_kq_subdivision(q: int) -> StraightLineDrawing:
             y_id = len(coords)
             coords.append((vx + eps * (ux - vx), vy + eps * (uy - vy)))
             edges += [(u, x_id), (x_id, y_id), (y_id, v)]
-        g = Graph(n, tuple(edges))
-        d = StraightLineDrawing(g, tuple(coords))
-        with contextlib.suppress(SimplicityError):
-            if not find_k_fans(g, d.crossings, 2):
-                _check(len(edges) == 3 * len(chords), "subdivision edge count")
-                return d
+        d = StraightLineDrawing(Graph(n, tuple(edges)), tuple(coords))
+        with contextlib.suppress(ConstructionError):
+            _check(len(edges) == 3 * len(chords), "subdivision edge count")
+            return _verified(d, 2, f"kq-subdivision q={q}")
         eps /= 2
     raise ConstructionError(
         f"no split parameter made the q={q} subdivision verify; "
@@ -366,10 +361,5 @@ def gen_tri_plus_dual(rows: int, cols: int) -> StraightLineDrawing:
             if y + 2 < rows:
                 add(vid(x, y), vid(x + 1, y + 2))
     edges = tuple(sorted(edge_set))
-    g = Graph(n, edges)
-    _check(validate_graph(g) is None, "tri-plus-dual graph invalid")
     _check(len(edges) <= 6 * n - 12, "tri-plus-dual exceeds 6n-12 edges")
-    d = StraightLineDrawing(g, coords)
-    fans = find_k_fans(g, _simple_crossings(d, "tri-plus-dual"), 4)
-    _check(not fans, f"tri-plus-dual has a 4-fan: {fans[:1]}")
-    return d
+    return _verified(StraightLineDrawing(Graph(n, edges), coords), 4, "tri-plus-dual")

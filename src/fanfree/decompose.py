@@ -2,6 +2,10 @@
 face tracing of H from the exact rotation system, replacement of each
 excluded edge by two arrows, and the per-face / global bound audits.
 
+``audit`` and ``audit_abstract`` share one front end (n >= 3, no k-fan,
+the greedy H) and judge the edge count against ``bounds.edge_limit``, the
+limit ``fanfree bounds`` applies, so the two commands agree on every input.
+
 Face complexity counts an edge twice when it bounds the face on both
 sides; boundary chains of a face are its closed walks (isolated vertices
 degenerate to zero-length chains).
@@ -18,12 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
+    SCHEMA_VERSION,
     AbstractDrawing,
     CrossingRelation,
     Graph,
     StraightLineDrawing,
 )
-from .bounds import upper_bound
+from .bounds import edge_limit
 from .crossings import find_k_fans, orient
 
 
@@ -337,21 +342,29 @@ def face_arrow_bound(complexity: int, chains: int, k: int) -> int:
     return 3 * (k - 1) * (complexity + 2 * chains - 4) - 2 * complexity + 3
 
 
-def audit(d: StraightLineDrawing, k: int = 2) -> DecompositionReport:
-    """Full decomposition audit of a k-fan-crossing free straight-line
-    drawing.  Any failed face bound, broken counting identity, or edge
-    bound violation is recorded as a falsification.  A drawing that is not
-    simple raises SimplicityError from ``d.crossings``."""
+def _plane_split(
+    d: StraightLineDrawing | AbstractDrawing, k: int
+) -> tuple[list[int], list[int]]:
+    """The H/K split of ``maximal_plane_subgraph`` for a drawing the audits
+    accept: n >= 3 (checked before ``d.crossings`` is read) and no k-fan."""
     g = d.graph
     if g.n < 3:
         raise ValueError("audit needs n >= 3 (the bounds assume it)")
     c = d.crossings
     fans = find_k_fans(g, c, k)
     if fans:
-        raise ValueError(
-            f"drawing is not {k}-fan-crossing free (witness: {fans[0]})"
-        )
-    h_edges, k_edges = maximal_plane_subgraph(g, c)
+        raise ValueError(f"drawing is not {k}-fan-crossing free (witness: {fans[0]})")
+    return maximal_plane_subgraph(g, c)
+
+
+def audit(d: StraightLineDrawing, k: int = 2) -> DecompositionReport:
+    """Full decomposition audit of a k-fan-crossing free straight-line
+    drawing.  Any failed face bound, broken counting identity, or edge
+    count above ``bounds.edge_limit`` (straight-line) is recorded as a
+    falsification.  A drawing that is not simple raises SimplicityError
+    from ``d.crossings``."""
+    g = d.graph
+    h_edges, k_edges = _plane_split(d, k)
     faceset = trace_faces(d, h_edges)
     arrows = arrowize(d, h_edges, k_edges, faceset)
 
@@ -383,7 +396,7 @@ def audit(d: StraightLineDrawing, k: int = 2) -> DecompositionReport:
         falsifications.append(f"sum of (p(f)-1) = {sum_p} != components-1")
     if not euler_ok:
         falsifications.append("Euler identity n - |H| + r = 1 + p failed")
-    bound = upper_bound(g.n, k)
+    bound = edge_limit(g.n, k, straight=True)
     bound_ok = len(g.edges) <= bound
     if not bound_ok:
         falsifications.append(
@@ -408,15 +421,10 @@ def audit(d: StraightLineDrawing, k: int = 2) -> DecompositionReport:
 
 def audit_abstract(d: AbstractDrawing, k: int = 2) -> dict:
     """Edge-count audit for drawings without coordinates: H/K split and the
-    global bound check only (faces need an embedding)."""
+    check against ``bounds.edge_limit`` only (faces need an embedding)."""
     g = d.graph
-    if g.n < 3:
-        raise ValueError("audit needs n >= 3 (the bounds assume it)")
-    fans = find_k_fans(g, d.crossings, k)
-    if fans:
-        raise ValueError(f"drawing is not {k}-fan-crossing free (witness: {fans[0]})")
-    h_edges, k_edges = maximal_plane_subgraph(g, d.crossings)
-    bound = upper_bound(g.n, k)
+    h_edges, k_edges = _plane_split(d, k)
+    bound = edge_limit(g.n, k)
     return {
         "n": g.n,
         "h_edges": len(h_edges),
@@ -429,7 +437,7 @@ def audit_abstract(d: AbstractDrawing, k: int = 2) -> dict:
 
 def report_to_json(rep: DecompositionReport) -> dict:
     return {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "n": rep.n,
         "h_edges": list(rep.h_edges),
         "k_edges": list(rep.k_edges),

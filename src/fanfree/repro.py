@@ -23,7 +23,7 @@ from . import bounds as _bounds
 from . import constructions as _con
 from . import decompose as _dec
 from . import star as _star
-from .crossings import SimplicityError, find_k_fans
+from .crossings import SimplicityError, find_k_fans, is_k_fan_free
 
 
 def naive_fan_oracle(g: Graph, c: CrossingRelation, k: int) -> set[tuple[int, int]]:
@@ -74,7 +74,7 @@ def brute_class_table(m: int, k: int) -> dict[tuple[int, int, int], int]:
                     for slot, s in enumerate(order)
                 )
                 cfg = _star.StarConfig(m, tuple(arrows))
-                if _star.is_fan_free(cfg, k):
+                if is_k_fan_free(_star.star_drawing(cfg), k):
                     found = True
                     cls = _star.classify_vertices(cfg).counts
                     best[cls] = max(best.get(cls, 0), total)
@@ -149,7 +149,9 @@ def claim_star_maxima(cases, budget=None) -> list[Claim]:
     for m, k, expect in cases:
         def check(m=m, k=k, expect=expect):
             res = _star.max_arrows(m, k, budget=budget)
-            fanned = sum(not _star.is_fan_free(cfg, k) for cfg in res.configs)
+            fanned = sum(
+                not is_k_fan_free(_star.star_drawing(cfg), k) for cfg in res.configs
+            )
             return res.maximum == expect and not fanned, (
                 f"max arrows = {res.maximum}, expected {expect}; "
                 f"{len(res.configs)} witnesses, {fanned} with a {k}-fan; "

@@ -114,11 +114,6 @@ def star_drawing(s: StarConfig) -> AbstractDrawing:
     return AbstractDrawing(g, CrossingRelation(frozenset(pairs)), "star")
 
 
-def is_fan_free(s: StarConfig, k: int) -> bool:
-    d = star_drawing(s)
-    return not _cr.find_k_fans(d.graph, d.crossings, k)
-
-
 # ---------------------------------------------------------------------------
 # Vertex classification (heavy / left-light / right-light / void)
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from fanfree.crossings import is_k_fan_free
 from fanfree.model import Graph, StraightLineDrawing
-from fanfree.star import StarConfig, is_fan_free, legal_exit
+from fanfree.star import StarConfig, legal_exit, star_drawing
 
 
 def F(x, y):
@@ -60,6 +61,6 @@ def random_star(rng: random.Random, m: int, k: int, attempts: int = 30) -> StarC
             continue
         pos = rng.randint(0, len(per_edge[e]))
         per_edge[e].insert(pos, s)
-        if not is_fan_free(materialize(), k):
+        if not is_k_fan_free(star_drawing(materialize()), k):
             per_edge[e].pop(pos)
     return materialize()

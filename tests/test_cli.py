@@ -158,6 +158,42 @@ def test_bounds_falsification_archives_counterexample(tmp_path, monkeypatch):
     assert (tmp_path / "falsification.json").exists()
 
 
+def test_bounds_without_n_or_input_is_a_usage_error(capsys):
+    assert main(["bounds"]) == 2
+    assert "--n or --input" in capsys.readouterr().err
+
+
+def test_audit_and_bounds_agree_on_k7_minus_an_edge(tmp_path, monkeypatch):
+    """K_7 minus an edge, with no crossings: its 20 edges meet 4n-8 but
+    exceed the exact maximum 4n-9 = 19 at n = 7, so both commands call the
+    fan-free input a falsification."""
+    monkeypatch.chdir(tmp_path)
+    edges = [[u, v] for u in range(7) for v in range(u + 1, 7)][1:]
+    (tmp_path / "k7e.json").write_text(json.dumps({"n": 7, "edges": edges, "crossings": []}))
+    report = tmp_path / "audit.json"
+    assert main(["audit", "--input", "k7e.json", "--report", str(report)]) == 1
+    rep = json.loads(report.read_text())
+    assert rep["edge_bound"] == 19 and not rep["edge_bound_ok"]
+    assert main(["bounds", "--input", "k7e.json"]) == 1
+    assert (tmp_path / "falsification.json").exists()
+    assert (tmp_path / "falsification-1.json").exists()
+
+
+def test_audit_and_bounds_agree_on_generated_families(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for family, k in (
+        (["--family", "quad-extremal", "--n", "12"], 2),
+        (["--family", "straight-extremal", "--n", "9"], 2),
+        (["--family", "grid", "--side", "5", "--k", "5"], 5),
+        (["--family", "kq-subdivision", "--q", "5"], 2),
+        (["--family", "tri-plus-dual", "--rows", "4", "--cols", "4"], 4),
+    ):
+        assert main(["gen", *family, "--out", "d.json"]) == 0
+        assert main(["audit", "--input", "d.json", "--k", str(k)]) == 0
+        assert main(["bounds", "--input", "d.json", "--k", str(k)]) == 0
+    assert not list(tmp_path.glob("falsification*.json"))
+
+
 def test_render_svg_structure(tmp_path):
     src = tmp_path / "d.json"
     main(["gen", "--family", "kq-subdivision", "--q", "4", "--out", str(src)])

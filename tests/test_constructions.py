@@ -3,7 +3,10 @@ from math import gcd
 
 import pytest
 
+from fanfree import constructions
+from fanfree.cli import main
 from fanfree.constructions import (
+    ConstructionError,
     gen_grid,
     gen_kq_subdivision,
     gen_quad_extremal,
@@ -13,8 +16,13 @@ from fanfree.constructions import (
     is_bipartite,
     quad_extremal_parts,
 )
-from fanfree.crossings import compute_crossings, find_k_fans, is_k_fan_free
-from fanfree.model import dumps, validate_crossings, validate_graph
+from fanfree.crossings import (
+    SimplicityError,
+    compute_crossings,
+    find_k_fans,
+    is_k_fan_free,
+)
+from fanfree.model import FanWitness, dumps, validate_crossings, validate_graph
 
 
 def test_quad_extremal_n8():
@@ -184,3 +192,41 @@ def test_tri_plus_dual_edge_budget():
     d = gen_tri_plus_dual(6, 6)
     n = d.graph.n
     assert len(d.graph.edges) <= 6 * n - 12
+
+
+SMALL_FAMILIES = (
+    lambda: gen_quad_extremal(8),
+    lambda: gen_straight_extremal(6),
+    lambda: gen_grid(4, 3),
+    lambda: gen_kq_subdivision(3),
+    lambda: gen_tri_plus_dual(3, 3),
+)
+
+
+def test_a_fan_in_a_generated_drawing_is_a_construction_error(monkeypatch, capsys):
+    """Every generator fan-checks its own output: a witness from the fan
+    detector makes each of them raise, and makes ``gen`` exit 1."""
+    monkeypatch.setattr(
+        constructions, "find_k_fans", lambda g, c, k: [FanWitness(0, 0, (1, 2))]
+    )
+    for make in SMALL_FAMILIES:
+        with pytest.raises(ConstructionError):
+            make()
+    assert main(["gen", "--family", "quad-extremal", "--n", "8"]) == 1
+    assert "FALSIFICATION" in capsys.readouterr().err
+
+
+def test_a_non_simple_generated_drawing_is_a_construction_error(monkeypatch):
+    """Two vertices of the straight-line family put on one point: the
+    drawing's SimplicityError surfaces as a ConstructionError."""
+    parts = constructions._straight_parts
+
+    def collapsed(n):
+        coords, edges, quads = parts(n)
+        coords[3] = coords[0]
+        return coords, edges, quads
+
+    monkeypatch.setattr(constructions, "_straight_parts", collapsed)
+    with pytest.raises(ConstructionError) as exc:
+        gen_straight_extremal(6)
+    assert isinstance(exc.value.__cause__, SimplicityError)

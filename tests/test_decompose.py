@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from fanfree.bounds import check_graph_against_bounds
 from fanfree.crossings import SimplicityError, compute_crossings
 from fanfree.constructions import (
     gen_grid,
@@ -27,7 +28,7 @@ from fanfree.decompose import (
     report_to_json,
     trace_faces,
 )
-from fanfree.model import Graph, StraightLineDrawing
+from fanfree.model import AbstractDrawing, CrossingRelation, Graph, StraightLineDrawing
 from fanfree.repro import random_drawing, random_fan_free_drawing
 
 from conftest import F, big_affine
@@ -211,6 +212,14 @@ def test_audit_abstract_quad_extremal():
     assert rep["edge_bound_ok"]
     assert rep["h_edges"] == 3 * 12 - 6
     assert rep["arrows"] == 2 * rep["k_edges"]
+    # the same front end as ``audit``: n >= 3, and no k-fan
+    with pytest.raises(ValueError, match="n >= 3"):
+        audit_abstract(AbstractDrawing(Graph(2, ((0, 1),)), CrossingRelation()), 2)
+    fan = AbstractDrawing(
+        Graph(5, ((0, 1), (0, 2), (3, 4))), CrossingRelation(frozenset({(0, 2), (1, 2)}))
+    )
+    with pytest.raises(ValueError, match="not 2-fan-crossing free"):
+        audit_abstract(fan, 2)
 
 
 def test_component_count():
@@ -287,27 +296,34 @@ def test_non_simple_drawing_has_no_crossing_relation():
         audit(d, 2)
 
 
-# sha256 of the sorted-key JSON of every case's ``report_to_json(audit(d, k))``,
-# recorded from the audit that sorted each rotation with a comparator, looked
-# darts up in per-vertex position dicts and built one Fraction per candidate
-# first hit
-AUDIT_PINNED_DIGEST = "da0d91a685f8c69ea89884358597d21fc2ade2d0f28e89938cf81a3d5c57360c"
+# sha256 of the sorted-key JSON of every case's ``report_to_json(audit(d, k))``.
+# Every field but ``edge_bound`` was recorded from the audit that sorted each
+# rotation with a comparator, looked darts up in per-vertex position dicts and
+# built one Fraction per candidate first hit; ``edge_bound`` is
+# ``bounds.edge_limit``, one lower at k = 2 than the 4n-8 that audit reported
+AUDIT_PINNED_DIGEST = "4b28a1988284c66ee61e05a56c6331a4e32d78add44fc33fd7afd3d5839c69a8"
 
 
-def test_audit_outputs_are_pinned():
-    """A faster audit must give the same report: the same H, arrows, first
-    hits, parameters, faces and verdicts.  The seeded random drawing is
-    fan-free, its H has several components and it has a vertex outside H."""
-    loose = random_drawing(random.Random(60))
-    cases = [
+def pinned_cases():
+    """(drawing, k) of the pinned audits; the last is a seeded random
+    drawing."""
+    return [
         (gen_straight_extremal(31), 2),
         (gen_straight_extremal(120), 2),
         (gen_grid(8, 5), 5),
         (gen_kq_subdivision(5), 2),
         (gen_kq_subdivision(12), 2),
         (gen_tri_plus_dual(5, 6), 4),
-        (loose, 2),
+        (random_drawing(random.Random(60)), 2),
     ]
+
+
+def test_audit_outputs_are_pinned():
+    """A faster audit must give the same report: the same H, arrows, first
+    hits, parameters, faces and verdicts.  The seeded random drawing is
+    fan-free, its H has several components and it has a vertex outside H."""
+    cases = pinned_cases()
+    loose = cases[-1][0]
     digest = hashlib.sha256()
     for d, k in cases:
         rep = audit(d, k)
@@ -316,6 +332,24 @@ def test_audit_outputs_are_pinned():
     in_h = {v for i in rep.h_edges for v in loose.graph.edges[i]}
     assert rep.components >= 2 and len(in_h) < loose.graph.n and rep.arrows
     assert digest.hexdigest() == AUDIT_PINNED_DIGEST
+
+
+def _bounds_limit(d, k) -> int:
+    """The edge limit ``check_graph_against_bounds`` judges ``d`` by."""
+    rep = check_graph_against_bounds(d, k)
+    return rep.bound if rep.exact_extremal is None else min(rep.bound, rep.exact_extremal)
+
+
+def test_audit_edge_bound_is_the_bounds_limit():
+    """Both audits check the edge count against the limit ``bounds`` uses:
+    at k = 2 a straight-line drawing is held to 4n-9, and to n(n-1)/2 at
+    n <= 6."""
+    for d, k in pinned_cases() + [(gen_straight_extremal(6), 2)]:
+        assert audit(d, k).edge_bound == _bounds_limit(d, k)
+    d = gen_quad_extremal(12)
+    assert audit_abstract(d, 2)["edge_bound"] == _bounds_limit(d, 2) == 40
+    assert audit(gen_straight_extremal(31), 2).edge_bound == 115
+    assert audit(gen_straight_extremal(6), 2).edge_bound == 15
 
 
 def _direction_cmp(d1, d2) -> int:

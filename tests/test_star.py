@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from fanfree.crossings import compute_crossings, find_k_fans
+from fanfree.crossings import compute_crossings, find_k_fans, is_k_fan_free
 from fanfree.star import (
     BASE_CASE_ROWS,
     InconclusiveError,
@@ -14,7 +14,6 @@ from fanfree.star import (
     canonical_form,
     classify_vertices,
     edge_order,
-    is_fan_free,
     legal_pairs,
     max_arrows,
     realize_star,
@@ -110,23 +109,23 @@ def test_malformed_stars_are_rejected():
         with pytest.raises(ValueError, match=message):
             star_drawing(s)
         with pytest.raises(ValueError, match=message):
-            is_fan_free(s, 2)
+            is_k_fan_free(star_drawing(s), 2)
 
 
 # -- fan-freeness ------------------------------------------------------------
 
 def test_triangle_one_arrow_fan_free_at_two():
-    assert is_fan_free(StarConfig(3, ((0, 1, 0),)), 2)
+    assert is_k_fan_free(star_drawing(StarConfig(3, ((0, 1, 0),))), 2)
 
 
 def test_triangle_two_arrows_not_fan_free_at_two():
-    assert not is_fan_free(StarConfig(3, ((0, 1, 0), (1, 2, 0))), 2)
+    assert not is_k_fan_free(star_drawing(StarConfig(3, ((0, 1, 0), (1, 2, 0)))), 2)
 
 
 def test_triangle_three_arrows_fan_free_at_three():
     s = StarConfig(3, ((0, 1, 0), (1, 2, 0), (2, 0, 0)))
-    assert is_fan_free(s, 3)
-    assert not is_fan_free(s, 2)
+    assert is_k_fan_free(star_drawing(s), 3)
+    assert not is_k_fan_free(star_drawing(s), 2)
 
 
 def test_same_pair_multiplicity_fanned_by_exit_edge():
@@ -294,11 +293,11 @@ def _search_holding(s: StarConfig, k: int) -> _Search:
 def test_search_mask_rule_matches_star_drawing():
     """For every legal pair and gap on seeded fan-free stars, the search's
     crossing mask of a new arrow equals its crossers in ``star_drawing``,
-    and its fit test equals ``is_fan_free`` of the extended star wherever
-    the pair stays within the k-1 copies the search allows.  A pair that the
-    search's one-AND test calls dead (its crossers outside the arrows on its
-    exit edge meet ``sat`` of its start) fits at no gap, and every one of
-    its extensions has a k-fan; each (m, k) has such a pair."""
+    and its fit test equals ``is_k_fan_free`` of the extended star's drawing
+    wherever the pair stays within the k-1 copies the search allows.  A
+    pair that the search's one-AND test calls dead (its crossers outside the
+    arrows on its exit edge meet ``sat`` of its start) fits at no gap, and
+    every one of its extensions has a k-fan; each (m, k) has such a pair."""
     rng = random.Random(4711)
     outcomes = {True: 0, False: 0}
     for m in range(3, 9):
@@ -331,9 +330,9 @@ def test_search_mask_rule_matches_star_drawing():
                             x - m for x in crossed if x >= m
                         }, (s, a, e, gap)
                         if dead:
-                            assert not is_fan_free(ext, k), (s, k, a, e, gap)
+                            assert not is_k_fan_free(star_drawing(ext), k), (s, k, a, e, gap)
                         if len(copies) < k - 1:
-                            fan_free = is_fan_free(ext, k)
+                            fan_free = is_k_fan_free(star_drawing(ext), k)
                             assert (gap in fits) == fan_free, (s, k, a, e, gap)
                             outcomes[fan_free] += 1
             assert dead_pairs > 0, (m, k)
@@ -350,7 +349,7 @@ def test_witness_configs_are_fan_free_and_match_class():
     assert res.maximum == 4
     for cfg in res.configs:
         assert validate_star(cfg) is None
-        assert is_fan_free(cfg, 3)
+        assert is_k_fan_free(star_drawing(cfg), 3)
         assert classify_vertices(cfg).counts == (2, 0, 2)
 
 
@@ -410,9 +409,9 @@ def test_monotonicity_subconfigs_stay_fan_free():
         m = rng.randint(3, 7)
         k = rng.choice((2, 3))
         s = random_star(rng, m, k)
-        assert is_fan_free(s, k)
+        assert is_k_fan_free(star_drawing(s), k)
         ids = [i for i in range(len(s.arrows)) if rng.random() < 0.6]
-        assert is_fan_free(sub_star(s, ids), k)
+        assert is_k_fan_free(star_drawing(sub_star(s, ids)), k)
 
 
 def test_rotation_and_reflection_preserve_fan_freeness():
@@ -421,8 +420,8 @@ def test_rotation_and_reflection_preserve_fan_freeness():
         m = rng.randint(3, 7)
         s = random_star(rng, m, 2)
         for r in range(m):
-            assert is_fan_free(rotate_star(s, r), 2)
-        assert is_fan_free(reflect_star(s), 2)
+            assert is_k_fan_free(star_drawing(rotate_star(s, r)), 2)
+        assert is_k_fan_free(star_drawing(reflect_star(s)), 2)
         refl = reflect_star(reflect_star(s))
         assert canonical_form(refl) == canonical_form(s)
 
@@ -432,14 +431,14 @@ def test_extremal_configs_closed_under_rotation():
     for cfg in res.configs:
         for r in range(5):
             rot = rotate_star(cfg, r)
-            assert is_fan_free(rot, 2)
+            assert is_k_fan_free(star_drawing(rot), 2)
             assert len(rot.arrows) == res.maximum
 
 
 def test_geometric_soundness_of_combinatorial_crossing():
     """Straight-line realizations have the graph and crossing relation of
     ``star_drawing``, so the combinatorial predicate on every arrow pair and
-    ``is_fan_free`` agree with the geometry."""
+    ``is_k_fan_free`` of ``star_drawing`` agree with the geometry."""
     rng = random.Random(31415)
     for _ in range(25):
         m = rng.randint(3, 7)
@@ -464,7 +463,7 @@ def test_geometric_soundness_of_combinatorial_crossing():
         }
         assert geo == comb
         for kk in (2, 3, 4):
-            assert is_fan_free(s, kk) == (not find_k_fans(d.graph, rel, kk))
+            assert is_k_fan_free(star_drawing(s), kk) == (not find_k_fans(d.graph, rel, kk))
 
 
 def short_arrow_witness(m, start, exit):
