@@ -103,10 +103,12 @@ def cmd_audit(args) -> int:
         rep = _dec.audit(obj, args.k)
         payload = _dec.report_to_json(rep)
         ok = rep.ok
+        passed = "all face bounds and counting identities hold"
     elif isinstance(obj, AbstractDrawing):
         payload = _dec.audit_abstract(obj, args.k)
         payload["schema"] = SCHEMA_VERSION
         ok = payload["edge_bound_ok"]
+        passed = f"{len(obj.graph.edges)} edges, within the edge limit {payload['edge_bound']}"
     else:
         print("input has no drawing data", file=sys.stderr)
         return EXIT_USAGE
@@ -116,7 +118,7 @@ def cmd_audit(args) -> int:
         _archive_falsification(payload, args.input)
         print("FALSIFICATION: a proven bound failed on a verified input", file=sys.stderr)
         return EXIT_WITNESS
-    print("audit passed: all face bounds and counting identities hold")
+    print(f"audit passed: {passed}")
     return EXIT_OK
 
 
@@ -178,7 +180,6 @@ def cmd_bounds(args) -> int:
         print(f"{rep.verdict}: {rep.reason}")
         if rep.falsification:
             _archive_falsification(payload, args.input)
-            return EXIT_WITNESS
     elif args.n is None:
         print("bounds needs --n or --input", file=sys.stderr)
         return EXIT_USAGE
@@ -200,7 +201,7 @@ def cmd_bounds(args) -> int:
             print(f"bound {value}")
     if args.json:
         _write_json(args.json, payload)
-    return EXIT_OK
+    return EXIT_WITNESS if args.input and rep.falsification else EXIT_OK
 
 
 def cmd_render(args) -> int:

@@ -22,7 +22,7 @@ where collinear segments overlap, is a simplicity error, never a crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     CrossingRelation,
@@ -48,8 +48,7 @@ class SimplicityError(ValueError):
         self.indices = indices
 
 
-@dataclass(frozen=True)
-class SimplicityReport:
+class SimplicityReport(NamedTuple):
     """Exhaustive list of simplicity violations; ok iff none."""
 
     ok: bool

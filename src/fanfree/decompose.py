@@ -14,12 +14,17 @@ Every kernel reads the integer points ``d.points`` inline.  The rotation
 system inserts each dart by the sign of one cross product, the face walks
 follow one successor map and sum their areas as they go, an arrow's first
 hit is found by cross-multiplication, and H's components are found once.
+The records built per walk, face, arrow and audit are immutable NamedTuples
+(``FaceSet`` holds a dict and stays a frozen dataclass).  ``trace_faces``
+rejects an H with a crossing pair, then runs the face kernel ``_faces``;
+``audit`` calls ``_faces`` directly, as its H is crossing-free by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import (
     SCHEMA_VERSION,
@@ -73,8 +78,7 @@ def _rotation(pts, g: Graph, h_edges: list[int]) -> list[list[tuple]]:
     return [up + low for up, low in zip(upper, lower)]
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(NamedTuple):
     """One closed boundary walk, as a tuple of darts (u, v).  ``area2`` is
     its doubled signed area on the drawing's integer points: positive
     exactly for the ccw outer walk of a bounded face."""
@@ -87,8 +91,7 @@ class Walk:
         return min(self.darts)[0]
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     id: int
     bounded: bool
     outer: Walk | None
@@ -115,11 +118,16 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
     faces by exact containment.  The drawing must be simple (reading
     ``d.crossings`` raises otherwise).  Fails loudly if a crossing pair has
     both edges in H."""
-    g = d.graph
     in_h = set(h_edges)
     if any(i in in_h and j in in_h for i, j in d.crossings.pairs):
         raise ValueError("trace_faces requires a crossing-free edge set")
+    return _faces(d, h_edges)
 
+
+def _faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
+    """``trace_faces`` without its guard, for an H that is crossing-free by
+    construction, as ``maximal_plane_subgraph`` makes it."""
+    g = d.graph
     pts = d.points
     rot = _rotation(pts, g, h_edges)
     # face-on-left traversal: dart (u, v) is followed by (v, w), w the
@@ -129,7 +137,8 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
         for at, (u, _dx, _dy) in enumerate(ring):
             succ[u, v] = ring[at - 1][0]
 
-    walks: list[Walk] = []
+    outer_walks: list[tuple[tuple[int, int], Walk]] = []  # (least dart, walk)
+    hole_walks: list[tuple[tuple[int, int], Walk]] = []
     for i in h_edges:
         u, v = g.edges[i]
         for start in ((u, v), (v, u)):
@@ -146,13 +155,16 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
                 area2 += xa * yb - xb * ya
                 a, b, xa, ya = b, w, xb, yb
                 w = succ.pop((a, b), None)
-            walks.append(Walk(tuple(darts), area2))
+            darts = tuple(darts)
+            (outer_walks if area2 > 0 else hole_walks).append(
+                (min(darts), Walk(darts, area2)))
 
     isolated = [v for v in range(g.n) if not rot[v]]
     comp = _component_ids(g, h_edges)
-    outer_walks = [w for w in walks if w.area2 > 0]
-    hole_walks = [w for w in walks if w.area2 <= 0]
-    outer_comp = [comp[w.rep_vertex] for w in outer_walks]
+    # the bounded faces in order of their least dart; each face's holes in
+    # order of their least dart, its isolated vertices ascending
+    outer_walks.sort()
+    hole_walks.sort()
 
     def contains(walk: Walk, v: int) -> bool:
         # upward-ray crossing parity, half-open in x so vertices never double
@@ -173,38 +185,34 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
         # point's own component are never candidates (the point would sit on
         # their boundary and parity would be meaningless)
         best = None
-        for wi, w in enumerate(outer_walks):
-            if outer_comp[wi] == comp[v]:
+        for wi, (least, w) in enumerate(outer_walks):
+            if comp[least[0]] == comp[v]:
                 continue
             if contains(w, v):
-                if best is None or w.area2 < outer_walks[best].area2:
+                if best is None or w.area2 < outer_walks[best][1].area2:
                     best = wi
         return best
 
-    # each face's holes in order of their least dart, its isolated vertices
-    # ascending
     hole_of: dict[int | None, list[Walk]] = {}
-    for w in sorted(hole_walks, key=lambda w: min(w.darts)):
-        hole_of.setdefault(innermost(w.rep_vertex), []).append(w)
+    for least, w in hole_walks:
+        hole_of.setdefault(innermost(least[0]), []).append(w)
     iso_of: dict[int | None, list[int]] = {}
     for v in isolated:
         iso_of.setdefault(innermost(v), []).append(v)
 
-    order = sorted(range(len(outer_walks)), key=lambda wi: min(outer_walks[wi].darts))
     faces: list[Face] = []
     dart_face: dict = {}
-    # the bounded faces, in order of their least dart, then the unbounded
-    # one: every chain of it is a hole, there is no outer walk
-    for fid, wi in enumerate(order + [None]):
-        outer = None if wi is None else outer_walks[wi]
+    # the bounded faces, then the unbounded one: every chain of it is a
+    # hole, there is no outer walk
+    for fid, wi in enumerate(list(range(len(outer_walks))) + [None]):
+        outer = None if wi is None else outer_walks[wi][1]
         holes = tuple(hole_of.get(wi, ()))
         iso = tuple(iso_of.get(wi, ()))
         chains = holes if outer is None else (outer,) + holes
         complexity = 0
         for w in chains:
             complexity += len(w.darts)
-            for dart in w.darts:
-                dart_face[dart] = fid
+            dart_face.update(dict.fromkeys(w.darts, fid))
         faces.append(Face(fid, outer is not None, outer, holes, iso, complexity,
                           len(chains) + len(iso)))
     return FaceSet(tuple(faces), dart_face, len(set(comp)))
@@ -231,8 +239,7 @@ def component_count(g: Graph, h_edges: list[int]) -> int:
     return len(set(_component_ids(g, h_edges)))
 
 
-@dataclass(frozen=True)
-class ArrowRecord:
+class ArrowRecord(NamedTuple):
     """Initial segment of excluded edge ``edge`` from ``start``: it lives in
     face ``face`` of H and first crosses H edge ``first_hit`` at parameter
     ``t`` along the excluded edge."""
@@ -302,8 +309,7 @@ def arrowize(
     return records
 
 
-@dataclass(frozen=True)
-class FaceAudit:
+class FaceAudit(NamedTuple):
     face: int
     complexity: int
     chains: int
@@ -313,8 +319,7 @@ class FaceAudit:
     passed: bool
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     n: int
     h_edges: tuple[int, ...]
     k_edges: tuple[int, ...]
@@ -365,7 +370,7 @@ def audit(d: StraightLineDrawing, k: int = 2) -> DecompositionReport:
     from ``d.crossings``."""
     g = d.graph
     h_edges, k_edges = _plane_split(d, k)
-    faceset = trace_faces(d, h_edges)
+    faceset = _faces(d, h_edges)
     arrows = arrowize(d, h_edges, k_edges, faceset)
 
     falsifications: list[str] = []
@@ -442,14 +447,7 @@ def report_to_json(rep: DecompositionReport) -> dict:
         "h_edges": list(rep.h_edges),
         "k_edges": list(rep.k_edges),
         "arrows": [
-            {
-                "edge": a.edge,
-                "start": a.start,
-                "face": a.face,
-                "first_hit": a.first_hit,
-                "t": [a.t.numerator, a.t.denominator],
-            }
-            for a in rep.arrows
+            {**a._asdict(), "t": [a.t.numerator, a.t.denominator]} for a in rep.arrows
         ],
         "faces": [
             {

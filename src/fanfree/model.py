@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 SCHEMA_VERSION = 1
 
@@ -196,8 +197,7 @@ class AbstractDrawing:
     provenance: str = "external"
 
 
-@dataclass(frozen=True)
-class FanWitness:
+class FanWitness(NamedTuple):
     """Edge ``crosser`` crossing ``fan`` edges that all meet at ``apex``."""
 
     crosser: int

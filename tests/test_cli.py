@@ -147,20 +147,32 @@ def test_bounds_input_detects_a_straight_line_drawing(tmp_path):
 
 def test_bounds_falsification_archives_counterexample(tmp_path, monkeypatch):
     # an input whose crossing relation lies (K7, "no crossings") must be
-    # archived and flagged
+    # archived and flagged, and --json still writes the verdict
     from fanfree.model import AbstractDrawing, CrossingRelation, Graph
 
     monkeypatch.chdir(tmp_path)
     k7 = Graph(7, tuple((u, v) for u in range(7) for v in range(u + 1, 7)))
     save(AbstractDrawing(k7, CrossingRelation(), "external"), tmp_path / "lie.json")
-    code = main(["bounds", "--input", str(tmp_path / "lie.json"), "--k", "2"])
+    assert json.loads((tmp_path / "lie.json").read_text())["crossings"] == []
+    code = main(["bounds", "--input", str(tmp_path / "lie.json"), "--k", "2",
+                 "--json", "lie-bounds.json"])
     assert code == 1
     assert (tmp_path / "falsification.json").exists()
+    assert json.loads((tmp_path / "lie-bounds.json").read_text())["verdict"] == "falsification"
 
 
 def test_bounds_without_n_or_input_is_a_usage_error(capsys):
     assert main(["bounds"]) == 2
     assert "--n or --input" in capsys.readouterr().err
+
+
+def test_audit_of_an_abstract_drawing_reports_the_edge_limit(tmp_path, capsys):
+    """Without coordinates the audit checks only the edge count, and says so."""
+    src = tmp_path / "q12.json"
+    assert main(["gen", "--family", "quad-extremal", "--n", "12", "--out", str(src)]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--input", str(src)]) == 0
+    assert capsys.readouterr().out == "audit passed: 40 edges, within the edge limit 40\n"
 
 
 def test_audit_and_bounds_agree_on_k7_minus_an_edge(tmp_path, monkeypatch):

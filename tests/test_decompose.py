@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from fanfree.bounds import check_graph_against_bounds
-from fanfree.crossings import SimplicityError, compute_crossings
+from fanfree.crossings import SimplicityError, compute_crossings, validate_simplicity
 from fanfree.constructions import (
     gen_grid,
     gen_kq_subdivision,
@@ -18,6 +18,7 @@ from fanfree.constructions import (
     gen_tri_plus_dual,
 )
 from fanfree.decompose import (
+    _faces,
     _rotation,
     arrowize,
     audit,
@@ -28,7 +29,13 @@ from fanfree.decompose import (
     report_to_json,
     trace_faces,
 )
-from fanfree.model import AbstractDrawing, CrossingRelation, Graph, StraightLineDrawing
+from fanfree.model import (
+    AbstractDrawing,
+    CrossingRelation,
+    FanWitness,
+    Graph,
+    StraightLineDrawing,
+)
 from fanfree.repro import random_drawing, random_fan_free_drawing
 
 from conftest import F, big_affine
@@ -332,6 +339,39 @@ def test_audit_outputs_are_pinned():
     in_h = {v for i in rep.h_edges for v in loose.graph.edges[i]}
     assert rep.components >= 2 and len(in_h) < loose.graph.n and rep.arrows
     assert digest.hexdigest() == AUDIT_PINNED_DIGEST
+
+
+def test_audit_faces_equal_the_guarded_trace_faces():
+    """``audit`` traces H with the unguarded kernel ``_faces``; on the pinned
+    cases its faces and ``dart_face`` are those of the public
+    ``trace_faces``."""
+    for d, k in pinned_cases():
+        rep = audit(d, k)
+        h = list(rep.h_edges)
+        faceset = trace_faces(d, h)
+        assert _faces(d, h) == faceset
+        assert [(fa.face, fa.complexity, fa.chains) for fa in rep.face_audits] == [
+            (f.id, f.complexity, f.chains) for f in faceset.faces
+        ]
+
+
+def test_audit_records_are_immutable():
+    """The per-walk, per-face, per-arrow and per-report records, the fan
+    witness and the simplicity report reject attribute assignment."""
+    d = gen_grid(6, 5)
+    rep = audit(d, 5)
+    face = trace_faces(d, list(rep.h_edges)).faces[0]
+    records = [rep, rep.arrows[0], rep.face_audits[0], face, face.outer,
+               FanWitness(2, 0, (0, 1)), validate_simplicity(d)]
+    assert {type(r).__name__ for r in records} == {
+        "DecompositionReport", "ArrowRecord", "FaceAudit", "Face", "Walk",
+        "FanWitness", "SimplicityReport"}
+    for rec in records:
+        for field in rec._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, field, None)
+        with pytest.raises(AttributeError):
+            rec.extra = None
 
 
 def _bounds_limit(d, k) -> int:
