@@ -343,8 +343,8 @@ def test_audit_outputs_are_pinned():
 
 def test_audit_faces_equal_the_guarded_trace_faces():
     """``audit`` traces H with the unguarded kernel ``_faces``; on the pinned
-    cases its faces and ``dart_face`` are those of the public
-    ``trace_faces``."""
+    cases its faces, and the arrow faces it reads off ``dart_face``, are
+    those of the public ``trace_faces``."""
     for d, k in pinned_cases():
         rep = audit(d, k)
         h = list(rep.h_edges)
@@ -353,6 +353,7 @@ def test_audit_faces_equal_the_guarded_trace_faces():
         assert [(fa.face, fa.complexity, fa.chains) for fa in rep.face_audits] == [
             (f.id, f.complexity, f.chains) for f in faceset.faces
         ]
+        assert tuple(arrowize(d, h, list(rep.k_edges), faceset)) == rep.arrows
 
 
 def test_audit_records_are_immutable():
