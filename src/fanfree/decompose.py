@@ -86,10 +86,6 @@ class Walk(NamedTuple):
     darts: tuple[tuple[int, int], ...]
     area2: int
 
-    @property
-    def rep_vertex(self) -> int:
-        return min(self.darts)[0]
-
 
 class Face(NamedTuple):
     id: int

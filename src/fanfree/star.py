@@ -15,6 +15,8 @@ refined boundary cycle.
 from __future__ import annotations
 
 import contextlib
+import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -288,12 +290,25 @@ MAX_WITNESSES = 16
 
 
 class InconclusiveError(RuntimeError):
-    """Search node budget exhausted; the reported maximum would be unsafe."""
+    """Search node budget exhausted; the reported maximum would be unsafe.
 
-    def __init__(self, nodes: int, best: int | None):
-        super().__init__(f"search inconclusive after {nodes} nodes (best seen: {best})")
+    ``nodes`` and ``seconds`` say how far the search got, ``best`` and
+    ``config`` the size and one star of the best configuration found so far
+    (None while there is none).
+    """
+
+    def __init__(
+        self, nodes: int, best: int | None, seconds: float, config: StarConfig | None
+    ):
+        found = "" if config is None else f", e.g. arrows {list(config.arrows)}"
+        super().__init__(
+            f"search inconclusive after {nodes} nodes in {seconds:.2f} s "
+            f"(best seen: {best}{found})"
+        )
         self.nodes = nodes
         self.best = best
+        self.seconds = seconds
+        self.config = config
 
 
 @dataclass(frozen=True)
@@ -310,8 +325,11 @@ class _Search:
     copies per pair; every slot gap is branched on.  Cyclic symmetry is
     broken by forcing the lexicographically first arrow to start at v_0.
     Subtrees are pruned against the incumbent using the remaining capacity
-    of still-insertable pairs; a pair that fails at every gap stays dead for
-    the whole subtree (supersets keep the blocking fan).
+    of still-insertable pairs.  A node examines its pairs before it branches
+    on any, and a pair that fits at no gap is marked dead for the whole
+    subtree (supersets keep the blocking fan), so no descendant examines it
+    again; it still counts towards the capacity, which keeps the pruning,
+    and with it every node, as it was when each node examined each pair.
 
     Sets of arrows are int bitmasks over arrow ids, an arrow's id being its
     position on the arrow stack:
@@ -320,11 +338,11 @@ class _Search:
       ``exit_mask[e]`` the arrows that exit through e_e.
     - ``cut[v]``: the arrows starting at one of v_0..v_v, XOR those exiting
       through one of e_0..e_{v-1}.
-    - ``cross[a]``: the earlier arrows that arrow a crosses, and
-      ``counts[a][v]`` the number of arrows from v_v that cross a.
     - ``sat[v]``: the arrows b on which one more crosser from v_v completes
       a k-fan, that is, crossers of b from v_v, plus 1, plus 1 if b's exit
       edge touches v_v, is at least k.
+    - ``slack[a][v]``: the crossers from v_v that arrow a can still take
+      before it joins ``sat[v]``, which it does when this reaches 0.
 
     A new arrow from v_s ending in gap g of e_e crosses the arrows not from
     v_s with exactly one end on the open arc from v_s to its endpoint: those
@@ -336,12 +354,20 @@ class _Search:
     k.  The multiplicity cap k-1 per pair keeps the fans on boundary edges
     out.
 
-    Most pairs are dead before any gap is looked at.  The gap changes the
-    new arrow's crossers only among the arrows that exit through e_e, so
-    its crossers ``(cut[s] ^ cut[e]) & ~(start_mask[s] | exit_mask[e])``
-    are the same at every gap; if they meet ``sat[s]``, no gap fits, and
-    one AND says so.  The other pairs go through ``_gap_masks`` and
-    ``_fitting``.
+    ``_fits`` decides a pair at every gap in one pass, cheapest test first,
+    and each test is exact:
+
+    - The gap changes the new arrow's crossers only among the arrows that
+      exit through e_e, so its crossers outside them are the same at every
+      gap; if they meet ``sat[s]``, no gap fits, and one AND says so.
+    - No arrow from v_e or v_{e+1} exits through e_e, the edge joining
+      them, so the new arrow's crossers from each of the two are also the
+      same at every gap; if either count reaches k-1, their limit, no gap
+      fits.
+    - At a gap that passes the ``sat[s]`` test, v_e and v_{e+1} are within
+      their limit, and every other vertex has limit k, so a mask with fewer
+      than k crossers from the other vertices fits without the
+      per-vertex loop.
     """
 
     def __init__(self, m, k, pairs, target_class, budget):
@@ -349,28 +375,38 @@ class _Search:
         self.k = k
         self.pairs = pairs
         self.target = target_class
-        self.budget = budget
+        # no budget: a bound no node count reaches, so that the check per
+        # node is one comparison
+        self.budget = budget if budget is not None else math.inf
         self.nodes = 0
+        self.t0 = 0.0
         self.best = -1
-        self.witnesses: list[tuple] = []
+        self.witnesses: list[StarConfig] = []
         self.starts: list[int] = []
-        self.exits: list[int] = []
-        self.cross: list[int] = []
-        self.counts: list[list[int]] = []
+        self.slack: list[list[int]] = []
         self.start_mask = [0] * m
         self.exit_mask = [0] * m
         self.sat = [0] * m
         self.cut = [0] * m
-        self.saved_sat: list[list[int]] = []
-        # limit[e][v]: crossers from v_v that make a k-fan on an arrow
-        # exiting through e_e
-        self.limit = [
-            [k - 1 if v in (e, (e + 1) % m) else k for v in range(m)] for e in range(m)
+        # fresh[e]: the slack row of an arrow exiting through e_e before its
+        # crossers are counted, k-2 at the ends of e_e and k-1 elsewhere;
+        # tight[e]: the vertices where it is 0 (the ends, at k = 2)
+        self.fresh = [
+            [k - 2 if v in (e, (e + 1) % m) else k - 1 for v in range(m)] for e in range(m)
+        ]
+        self.tight = [[v for v, n in enumerate(row) if n == 0] for row in self.fresh]
+        # arc[s][e]: the v whose cut[v] holds an arrow (s, e), v >= s XOR
+        # v >= e+1 (s = e+1 is not a legal exit)
+        self.arc = [
+            [range(s, e + 1) if s < e else range(e + 1, s) for e in range(m)]
+            for s in range(m)
         ]
         self.edge_pts: list[list[int]] = [[] for _ in range(m)]
-        # copies of each pair still insertable: k-1 minus those placed, or 0
-        # while the pair is dead
+        # copies of each pair still insertable: k-1 minus those placed
         self.room = [k - 1] * len(pairs)
+        # the pairs that fit at no gap, set by the node that found them for
+        # its subtree
+        self.dead = [False] * len(pairs)
 
     def _snapshot(self) -> StarConfig:
         arrows = []
@@ -380,6 +416,9 @@ class _Search:
         return StarConfig(self.m, tuple(sorted(arrows)))
 
     def _record(self):
+        """Keep the current star if it is of the target class.  The caller
+        has checked that it beats the best, or ties it with room left for
+        another witness."""
         if (
             self.target is not None
             and vertex_classes(self.start_mask, self.exit_mask).counts != self.target
@@ -389,142 +428,171 @@ class _Search:
         if count > self.best:
             self.best = count
             self.witnesses = [self._snapshot()]
-        elif count == self.best and len(self.witnesses) < MAX_WITNESSES:
+        else:
             snap = self._snapshot()
             if snap not in self.witnesses:
                 self.witnesses.append(snap)
 
-    def _gap_masks(self, s, e):
-        """The first gap after the copies of (s, e) already on e_e, and the
-        crossing mask of a new arrow (s, e) at each gap 0..len(edge_pts[e])."""
-        keep = ~self.start_mask[s]
+    def _fits(self, s, e):
+        """The (gap, crossing mask) of each gap at which a new arrow (s, e)
+        keeps the star fan-free, from the gap after the copies of (s, e)
+        already on e_e (see the class docstring for the tests)."""
+        start_mask, k = self.start_mask, self.k
+        keep = ~start_mask[s]
         mask = (self.cut[s] ^ self.cut[e]) & keep
-        masks = [mask]
-        first = 0
-        for aid in self.edge_pts[e]:
-            bit = 1 << aid
-            if bit & keep:
-                mask ^= bit
-            else:
-                first = len(masks)
-            masks.append(mask)
-        return first, masks
-
-    def _fitting(self, s, e, masks, first):
-        """The gaps from ``first`` at which a new arrow (s, e), crossing
-        ``masks[gap]``, keeps the star fan-free."""
         sat = self.sat[s]
-        start_mask, limit = self.start_mask, self.limit[e]
+        if mask & ~self.exit_mask[e] & sat:
+            return ()
+        at_e, at_e1 = start_mask[e], start_mask[(e + 1) % self.m]
+        if (mask & at_e).bit_count() >= k - 1 or (mask & at_e1).bit_count() >= k - 1:
+            return ()
+        others = ~(at_e | at_e1)
+        pts = self.edge_pts[e]
         out = []
-        for gap in range(first, len(masks)):
-            mask = masks[gap]
+        for gap in range(len(pts) + 1):
+            if gap:
+                bit = 1 << pts[gap - 1]
+                if bit & keep:
+                    mask ^= bit
+                else:
+                    # a copy of (s, e): the gaps before it are not branched on
+                    out = []
             if mask & sat:
                 continue
-            for starts, lim in zip(start_mask, limit):
-                if (mask & starts).bit_count() >= lim:
-                    break
+            rest = mask & others
+            if rest.bit_count() >= k:
+                for starts in start_mask:
+                    if (rest & starts).bit_count() >= k:
+                        break
+                else:
+                    out.append((gap, mask))
             else:
-                out.append(gap)
+                out.append((gap, mask))
         return out
 
     def _apply(self, s, e, gap, mask):
-        starts, exits, counts, limit = self.starts, self.exits, self.counts, self.limit
+        """Push arrow (s, e) at ``gap`` of e_e, crossing ``mask``.  Every
+        list changes in place except ``sat``, which is replaced by a copy
+        that ``_undo`` swaps back."""
+        starts, slack = self.starts, self.slack
         aid = len(starts)
         bit = 1 << aid
-        cx = [0] * self.m
-        self.saved_sat.append(self.sat)
+        row = self.fresh[e][:]
         sat = self.sat[:]
+        for v in self.tight[e]:
+            sat[v] |= bit
         sat_s = sat[s]
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
             b = low.bit_length() - 1
-            cx[starts[b]] += 1
-            row = counts[b]
-            row[s] += 1
-            if row[s] + 1 >= limit[exits[b]][s]:
+            v = starts[b]
+            row[v] -= 1
+            if not row[v]:
+                sat[v] |= bit
+            other = slack[b]
+            other[s] -= 1
+            if not other[s]:
                 sat_s |= low
         sat[s] = sat_s
-        for v, lim in enumerate(limit[e]):
-            if cx[v] + 1 >= lim:
-                sat[v] |= bit
         self.sat = sat
         self.edge_pts[e].insert(gap, aid)
         starts.append(s)
-        exits.append(e)
-        self.cross.append(mask)
-        counts.append(cx)
+        slack.append(row)
         self.start_mask[s] |= bit
         self.exit_mask[e] |= bit
-        # the arrow is in cut[v] for v >= s XOR v >= e+1 (s = e+1 is not a
-        # legal exit)
         cut = self.cut
-        for v in range(s, e + 1) if s < e else range(e + 1, s):
+        for v in self.arc[s][e]:
             cut[v] ^= bit
 
-    def _undo(self, e, gap):
+    def _undo(self, e, gap, mask, sat):
+        """Pop the last arrow, at ``gap`` of e_e and crossing ``mask``, and
+        put back ``sat``, the list that its ``_apply`` replaced."""
         bit = 1 << self.edge_pts[e].pop(gap)
         s = self.starts.pop()
-        self.exits.pop()
-        counts = self.counts
-        counts.pop()
-        rest = self.cross.pop()
+        slack = self.slack
+        slack.pop()
+        rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
-            counts[low.bit_length() - 1][s] -= 1
-        self.sat = self.saved_sat.pop()
+            slack[low.bit_length() - 1][s] += 1
+        self.sat = sat
         self.start_mask[s] ^= bit
         self.exit_mask[e] ^= bit
         cut = self.cut
-        for v in range(s, e + 1) if s < e else range(e + 1, s):
+        for v in self.arc[s][e]:
             cut[v] ^= bit
 
     def run(self, first_limit):
-        self._record()
-        self._dfs(0, first_limit)
+        self.t0 = time.perf_counter()
+        self._record()  # the empty star, the first incumbent
+        self._dfs(0, first_limit, sum(self.room))
         maximum = self.best if self.best >= 0 else None
         configs = self.witnesses if maximum is not None else []
         return SearchResult(maximum, tuple(configs), self.nodes)
 
-    def _dfs(self, lo, limit):
+    def _dfs(self, lo, limit, cap):
+        """Branch on the pairs lo..limit-1; ``cap`` is ``sum(room[lo:])``."""
         self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise InconclusiveError(self.nodes, self.best if self.best >= 0 else None)
-        pairs, room = self.pairs, self.room
-        # children change these lists in place and restore them; ``_undo``
-        # puts back this node's ``sat`` list itself
-        cut, start_mask, exit_mask, sat = self.cut, self.start_mask, self.exit_mask, self.sat
-        cap = sum(room[lo:])
+        if self.nodes > self.budget:
+            best = self.best if self.best >= 0 else None
+            raise InconclusiveError(
+                self.nodes,
+                best,
+                time.perf_counter() - self.t0,
+                self.witnesses[0] if best is not None else None,
+            )
+        pairs, room, dead, fits = self.pairs, self.room, self.dead, self._fits
         count = len(self.starts)
+        # Examine each pair the node can still branch on: its fitting gaps,
+        # with ``cap``, the copies still insertable from it on.  A pair that
+        # fits nowhere is dead for the whole subtree and marked so before
+        # any child runs; it still counts towards ``cap``, so the children
+        # prune exactly as if they had examined it.
+        floor = self.best - count
+        branches = []
         marked = []
         for idx in range(lo, limit):
             avail = room[idx]
             if avail == 0:
                 continue
+            if cap <= floor:
+                break
+            if not dead[idx]:
+                s, e = pairs[idx]
+                gaps = fits(s, e)
+                if gaps:
+                    branches.append((idx, cap, gaps))
+                else:
+                    dead[idx] = True
+                    marked.append(idx)
+            # later arrows at this node use pairs > idx only
+            cap -= avail
+        apply, undo, dfs = self._apply, self._undo, self._dfs
+        # every child puts back this node's ``sat`` list on its ``_undo``
+        sat = self.sat
+        grown = count + 1
+        npairs = len(pairs)
+        for idx, cap, gaps in branches:
+            # the incumbent may have grown since the pair was examined
             if count + cap <= self.best:
                 break
             s, e = pairs[idx]
-            if (cut[s] ^ cut[e]) & ~(start_mask[s] | exit_mask[e]) & sat[s]:
-                gaps = ()
-            else:
-                first, masks = self._gap_masks(s, e)
-                gaps = self._fitting(s, e, masks, first)
-            for gap in gaps:
-                room[idx] -= 1
-                self._apply(s, e, gap, masks[gap])
-                self._record()
-                self._dfs(idx, len(pairs))
-                self._undo(e, gap)
-                room[idx] += 1
-            if not gaps:
-                room[idx] = 0
-                marked.append((idx, avail))
-            # later arrows at this node use pairs > idx only
-            cap -= avail
-        for idx, avail in marked:
-            room[idx] = avail
+            # the children hold one copy of the pair: one less capacity
+            room[idx] -= 1
+            for gap, mask in gaps:
+                apply(s, e, gap, mask)
+                if grown > self.best or (
+                    grown == self.best and len(self.witnesses) < MAX_WITNESSES
+                ):
+                    self._record()
+                dfs(idx, npairs, cap - 1)
+                undo(e, gap, mask, sat)
+            room[idx] += 1
+        for idx in marked:
+            dead[idx] = False
 
 
 def legal_pairs(m: int, long_only: bool = False) -> list[tuple[int, int]]:

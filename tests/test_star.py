@@ -245,6 +245,12 @@ def test_max_arrows_budget_is_inconclusive_not_wrong():
     with pytest.raises(InconclusiveError) as info:
         max_arrows(6, 2, budget=3)
     assert (info.value.nodes, info.value.best) == (4, 3)
+    # how far it got: the time it ran and the best star found so far
+    assert info.value.seconds >= 0
+    config = info.value.config
+    assert len(config.arrows) == 3
+    assert is_k_fan_free(star_drawing(config), 2)
+    assert str(list(config.arrows)) in str(info.value)
 
 
 # (m, k, filter): None, "long" for long_only, or a vertex class
@@ -281,45 +287,63 @@ def test_search_outputs_are_pinned():
 
 
 def _search_holding(s: StarConfig, k: int) -> _Search:
-    """A search whose arrow stack holds the arrows of s, arrow i as id i."""
+    """A search whose arrow stack holds the arrows of s, arrow i as id i,
+    each placed at a gap where the search's own fit kernel accepts it."""
     search = _Search(s.m, k, legal_pairs(s.m), None, None)
     for a, e, slot in s.arrows:
         gap = sum(s.arrows[aid][2] < slot for aid in search.edge_pts[e])
-        _first, masks = search._gap_masks(a, e)
-        search._apply(a, e, gap, masks[gap])
+        search._apply(a, e, gap, dict(search._fits(a, e))[gap])
     return search
 
 
 def test_search_mask_rule_matches_star_drawing():
-    """For every legal pair and gap on seeded fan-free stars, the search's
-    crossing mask of a new arrow equals its crossers in ``star_drawing``,
-    and its fit test equals ``is_k_fan_free`` of the extended star's drawing
-    wherever the pair stays within the k-1 copies the search allows.  A
-    pair that the search's one-AND test calls dead (its crossers outside the
-    arrows on its exit edge meet ``sat`` of its start) fits at no gap, and
-    every one of its extensions has a k-fan; each (m, k) has such a pair."""
+    """For every legal pair and gap on seeded fan-free stars, the fit
+    kernel's crossing mask of a new arrow equals its crossers in
+    ``star_drawing``, and its fit verdict equals ``is_k_fan_free`` of the
+    extended star's drawing wherever the pair stays within the k-1 copies
+    the search allows.  The masks at gaps that do not fit come from the
+    same kernel on a search holding the same star at a k no star of that
+    size can reach, where every gap from the first one after the pair's
+    copies fits.
+
+    A pair that the one-AND test calls dead (its crossers outside the
+    arrows on its exit edge meet ``sat`` of its start) or that the pre-gap
+    rule rejects (its crossers from an end of its exit edge reach k-1) fits
+    at no gap, and every one of its extensions has a k-fan.  Each (m, k)
+    has a pair of the first kind, and at k = 3 and at k = 4 some pair is
+    rejected by the pre-gap rule alone."""
     rng = random.Random(4711)
     outcomes = {True: 0, False: 0}
+    pre_gap_pairs = {2: 0, 3: 0, 4: 0}
     for m in range(3, 9):
         for k in (2, 3, 4):
             dead_pairs = 0
             for _ in range(2):
                 s = random_star(rng, m, k)
                 search = _search_holding(s, k)
+                # a k-fan on an arrow of an extension needs k-1 crossers from
+                # one vertex besides the exit edge: more than there are here
+                wide = _search_holding(s, len(s.arrows) + 2)
                 new = m + len(s.arrows)
                 for a, e in legal_pairs(m):
-                    first, masks = search._gap_masks(a, e)
                     copies = [t for b, f, t in s.arrows if (b, f) == (a, e)]
-                    assert first == (max(copies) + 1 if copies else 0)
-                    fits = search._fitting(a, e, masks, 0)
-                    shared = (search.cut[a] ^ search.cut[e]) & ~(
-                        search.start_mask[a] | search.exit_mask[e]
+                    first = max(copies) + 1 if copies else 0
+                    every = wide._fits(a, e)
+                    assert [gap for gap, _mask in every] == list(
+                        range(first, len(search.edge_pts[e]) + 1)
+                    ), (s, a, e)
+                    fits = dict(search._fits(a, e))
+                    base = (search.cut[a] ^ search.cut[e]) & ~search.start_mask[a]
+                    dead = bool(base & ~search.exit_mask[e] & search.sat[a])
+                    pre_gap = any(
+                        (base & search.start_mask[v]).bit_count() >= k - 1
+                        for v in (e, (e + 1) % m)
                     )
-                    dead = bool(shared & search.sat[a])
-                    if dead:
-                        assert fits == [], (s, k, a, e)
-                        dead_pairs += 1
-                    for gap, mask in enumerate(masks):
+                    if dead or pre_gap:
+                        assert not fits, (s, k, a, e)
+                    dead_pairs += dead
+                    pre_gap_pairs[k] += pre_gap and not dead
+                    for gap, mask in every:
                         shifted = tuple(
                             (b, f, t + 1 if f == e and t >= gap else t)
                             for b, f, t in s.arrows
@@ -329,7 +353,8 @@ def test_search_mask_rule_matches_star_drawing():
                         assert {i for i in range(new) if mask >> i & 1} == {
                             x - m for x in crossed if x >= m
                         }, (s, a, e, gap)
-                        if dead:
+                        assert fits.get(gap, mask) == mask, (s, a, e, gap)
+                        if dead or pre_gap:
                             assert not is_k_fan_free(star_drawing(ext), k), (s, k, a, e, gap)
                         if len(copies) < k - 1:
                             fan_free = is_k_fan_free(star_drawing(ext), k)
@@ -337,6 +362,7 @@ def test_search_mask_rule_matches_star_drawing():
                             outcomes[fan_free] += 1
             assert dead_pairs > 0, (m, k)
     assert min(outcomes.values()) > 100, outcomes
+    assert pre_gap_pairs[3] > 0 and pre_gap_pairs[4] > 0, pre_gap_pairs
 
 
 def test_max_arrows_rejects_bad_class():
