@@ -44,11 +44,6 @@ def _write_json(path, payload: dict) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
 
 
-def _env_budget() -> int | None:
-    raw = os.environ.get("FANFREE_BUDGET")
-    return int(raw) if raw else None
-
-
 def cmd_gen(args) -> int:
     fam = args.family
     if fam == "quad-extremal":
@@ -134,7 +129,6 @@ def _archive_falsification(payload: dict, source) -> str:
 
 
 def cmd_star_search(args) -> int:
-    budget = args.budget if args.budget is not None else _env_budget()
     klass = None
     if args.vertex_class:
         klass = tuple(int(x) for x in args.vertex_class.split(","))
@@ -148,7 +142,7 @@ def cmd_star_search(args) -> int:
             args.k,
             long_only=args.long_only,
             vertex_class=klass,
-            budget=budget,
+            budget=args.budget,
         )
     except _star.InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
@@ -216,7 +210,12 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def render_svg(d: StraightLineDrawing, size: int = 800, margin: int = 20) -> str:
+# side of the square SVG canvas and the blank border inside it, in pixels
+SVG_SIZE = 800
+SVG_MARGIN = 20
+
+
+def render_svg(d: StraightLineDrawing) -> str:
     """SVG 1.1 rendering: one circle per vertex, one line per edge, one
     marker per crossing of the exact relation.  Floats appear only here,
     after every decision has been made exactly."""
@@ -224,16 +223,16 @@ def render_svg(d: StraightLineDrawing, size: int = 800, margin: int = 20) -> str
     ys = [y for _x, y in d.coords]
     lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, Fraction(1))
-    scale = Fraction(size - 2 * margin) / span
+    scale = Fraction(SVG_SIZE - 2 * SVG_MARGIN) / span
 
     def px(p):
-        x = float((p[0] - lo_x) * scale) + margin
-        y = size - (float((p[1] - lo_y) * scale) + margin)
+        x = float((p[0] - lo_x) * scale) + SVG_MARGIN
+        y = SVG_SIZE - (float((p[1] - lo_y) * scale) + SVG_MARGIN)
         return x, y
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">'
+        f'width="{SVG_SIZE}" height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">'
     ]
     for u, v in d.graph.edges:
         x1, y1 = px(d.coords[u])
@@ -265,8 +264,7 @@ def _segment_intersection(d: StraightLineDrawing, i: int, j: int):
 
 
 def cmd_repro(args) -> int:
-    budget = args.budget if args.budget is not None else _env_budget()
-    claims = _repro.run_battery(deep=args.deep, seed=args.seed, budget=budget)
+    claims = _repro.run_battery(deep=args.deep, seed=args.seed, budget=args.budget)
     width = max(len(c.name) for c in claims)
     worst = EXIT_OK
     for c in claims:

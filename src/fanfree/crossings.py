@@ -4,7 +4,14 @@ detection.
 Denominators are cleared once per drawing: ``StraightLineDrawing.points``
 multiplies every coordinate by the drawing's common denominator and keeps
 the result, and every predicate after that is the sign of a 2-D integer
-expression.  Two kernels compute the relation:
+expression.
+
+A drawing has a crossing relation only if it is simple.
+``validate_simplicity`` lists every violation once per drawing (kept as
+``d.simplicity``); ``compute_crossings``, whose result ``d.crossings``
+keeps, raises the first as a SimplicityError.  An endpoint on another
+segment's interior, or an overlap of collinear segments, is a violation,
+never a crossing.  Two kernels decide a drawing:
 
 - ``plane_sweep``, for drawings of at least SWEEP_MIN_EDGES edges: one
   Bentley–Ottmann sweep whose work grows with edges plus crossings.  It
@@ -13,11 +20,8 @@ expression.  Two kernels compute the relation:
 - the box sweeps, for every other drawing and for any the plane sweep
   stops on: one record per edge, sorted by the left end of its closed
   bounding box, so two edges (or a vertex and an edge) whose boxes are
-  apart are never tested.  They alone list every violation and name the
-  smallest degenerate pair.
-
-A configuration where an endpoint touches another segment's interior, or
-where collinear segments overlap, is a simplicity error, never a crossing.
+  apart are never tested.  The vertex pass lists the violations, and the
+  edge pass of a simple drawing tests proper crossings only.
 """
 
 from __future__ import annotations
@@ -61,12 +65,6 @@ def orient(a, b, c) -> int:
     return (d > 0) - (d < 0)
 
 
-def _dot_sign(p, a, b) -> int:
-    """Sign of (a-p).(b-p); negative iff p lies strictly between collinear a, b."""
-    d = (a[0] - p[0]) * (b[0] - p[0]) + (a[1] - p[1]) * (b[1] - p[1])
-    return (d > 0) - (d < 0)
-
-
 def _edge_records(pts, edges) -> list[tuple]:
     """One record per edge, sorted by xlo: (xlo, xhi, ylo, yhi, index, u, v,
     ax, ay, bx, by, dx, dy, c), where (xlo, xhi, ylo, yhi) is the closed
@@ -86,10 +84,17 @@ def _edge_records(pts, edges) -> list[tuple]:
 
 
 def validate_simplicity(d: StraightLineDrawing) -> SimplicityReport:
-    """Report every violation of the simple straight-line drawing model.
+    """Report every violation of the simple straight-line drawing model,
+    sorted; computed on first use and kept as ``d.simplicity``.
 
     Kinds: coincident-vertices, vertex-on-edge, adjacent-overlap.
     """
+    return d.simplicity
+
+
+def _simplicity_report(d: StraightLineDrawing) -> SimplicityReport:
+    """``validate_simplicity`` of ``d``, computed: the plane sweep, or the
+    vertex pass and the overlap pass of the box sweeps."""
     if _swept(d) is not None:
         return SimplicityReport(ok=True, violations=())
     pts = d.points
@@ -150,32 +155,19 @@ def validate_simplicity(d: StraightLineDrawing) -> SimplicityReport:
     return SimplicityReport(ok=not violations, violations=tuple(violations))
 
 
-def _degenerate(a, b, c, e, o1, o2, o3, o4) -> bool:
-    """Whether the segments ab and ce, which no same-side test separates and
-    of which at least one orientation o1..o4 is zero, touch degenerately:
-    an endpoint on the other's interior, or a collinear overlap.  o1 and o2
-    are the orientations of c and e against ab, o3 and o4 of a and b
-    against ce; only whether each is zero matters."""
-    return (
-        (o1 == 0 and _dot_sign(c, a, b) < 0)
-        or (o2 == 0 and _dot_sign(e, a, b) < 0)
-        or (o3 == 0 and _dot_sign(a, c, e) < 0)
-        or (o4 == 0 and _dot_sign(b, c, e) < 0)
-        or (o1 == 0 and o2 == 0 and (a, b) in ((c, e), (e, c)))
-    )
-
-
 def compute_crossings(d: StraightLineDrawing) -> CrossingRelation:
-    """Exact pairwise crossing relation of a simple straight-line drawing.
-
-    Edges sharing an endpoint never cross.  Any degenerate contact between
-    two edges raises SimplicityError naming the lexicographically smallest
-    such pair.
+    """Exact pairwise crossing relation of a simple straight-line drawing,
+    the one ``d.crossings`` keeps.  A drawing that is not simple raises
+    SimplicityError naming the first violation of ``validate_simplicity``.
+    Edges sharing an endpoint never cross.
     """
+    rep = validate_simplicity(d)
+    if not rep.ok:
+        first = rep.violations[0]
+        raise SimplicityError(*first, f"drawing is not simple: {first}")
     if (rel := _swept(d)) is not None:
         return rel
     pairs = set()
-    bad = None
     active: list[tuple] = []
     left = None
     for rec in _edge_records(d.points, d.graph.edges):
@@ -189,32 +181,17 @@ def compute_crossings(d: StraightLineDrawing) -> CrossingRelation:
             _, _, _, _, j, u2, v2, cx, cy, ex, ey, fx, fy, c2 = r
             if u2 == u or u2 == v or v2 == u or v2 == v:
                 continue
-            # both ends of one segment strictly on one side of the other's
-            # line: no contact at all
+            # a simple drawing has no other contact than a proper crossing:
+            # each segment's ends strictly on both sides of the other's line
             o1 = dx * cy - dy * cx - c
             o2 = dx * ey - dy * ex - c
-            if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
+            if not o1 or not o2 or (o1 > 0) == (o2 > 0):
                 continue
             o3 = fx * ay - fy * ax - c2
             o4 = fx * by - fy * bx - c2
-            if (o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0):
-                continue
-            pair = (j, i) if j < i else (i, j)
-            if o1 and o2 and o3 and o4:
-                pairs.add(pair)
-            elif (bad is None or pair < bad) and _degenerate(
-                (ax, ay), (bx, by), (cx, cy), (ex, ey), o1, o2, o3, o4
-            ):
-                bad = pair
+            if o3 and o4 and (o3 > 0) != (o4 > 0):
+                pairs.add((j, i) if j < i else (i, j))
         active.append(rec)
-    if bad is not None:
-        i, j = bad
-        raise SimplicityError(
-            "degenerate-contact",
-            bad,
-            f"edges {i} and {j} touch degenerately "
-            "(endpoint on interior or collinear overlap)",
-        )
     return CrossingRelation(frozenset(pairs))
 
 

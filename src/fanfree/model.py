@@ -45,9 +45,6 @@ class Graph:
                 )
         object.__setattr__(self, "edges", canon)
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def incident_edges(self) -> list[list[int]]:
         """Edge indices incident to each vertex."""
         inc: list[list[int]] = [[] for _ in range(self.n)]
@@ -170,16 +167,21 @@ class StraightLineDrawing:
         return _cr.plane_sweep(self)
 
     @cached_property
-    def crossings(self) -> CrossingRelation:
-        """The exact crossing relation, computed on first use and kept.  Only
-        a simple drawing has one: otherwise this raises SimplicityError (a
-        ValueError) naming the first violation of ``validate_simplicity``."""
+    def simplicity(self):
+        """``crossings.validate_simplicity`` of this drawing, computed on
+        first use and kept, so that a drawing is validated once."""
         from . import crossings as _cr  # not at the top: crossings imports model
 
-        rep = _cr.validate_simplicity(self)
-        if not rep.ok:
-            first = rep.violations[0]
-            raise _cr.SimplicityError(*first, f"drawing is not simple: {first}")
+        return _cr._simplicity_report(self)
+
+    @cached_property
+    def crossings(self) -> CrossingRelation:
+        """``crossings.compute_crossings`` of this drawing, computed on first
+        use and kept.  Only a simple drawing has one: otherwise this raises
+        SimplicityError (a ValueError) naming the first violation of
+        ``validate_simplicity``."""
+        from . import crossings as _cr  # not at the top: crossings imports model
+
         return _cr.compute_crossings(self)
 
 

@@ -106,11 +106,11 @@ def random_drawing(rng: random.Random, max_n: int = 12, max_edges: int = 20):
             return d
 
 
-def random_fan_free_drawing(rng: random.Random, k: int = 2, max_n: int = 12):
-    """Random drawing thinned until it is k-fan-crossing free."""
+def random_fan_free_drawing(rng: random.Random, max_n: int = 12):
+    """Random drawing thinned until it is fan-crossing free (k = 2)."""
     d = random_drawing(rng, max_n=max_n)
     while True:
-        fans = find_k_fans(d.graph, d.crossings, k)
+        fans = find_k_fans(d.graph, d.crossings, 2)
         if not fans:
             return d
         drop = fans[0].crosser

@@ -85,13 +85,6 @@ def _interleaved(a1, a2, b1, b2) -> bool:
     return _in_arc(b1, a1, a2) != _in_arc(b2, a1, a2)
 
 
-def arrows_cross(s: StarConfig, a: int, b: int) -> bool:
-    """Whether arrows a and b cross in ``star_drawing(s)``."""
-    if a == b:
-        raise ValueError("an arrow does not cross itself")
-    return star_drawing(s).crossings.crosses(s.m + a, s.m + b)
-
-
 def star_drawing(s: StarConfig) -> AbstractDrawing:
     """The star as an abstract drawing.
 
@@ -686,14 +679,14 @@ class BaseCaseRow:
     match: bool
 
 
-def verify_base_cases(k: int, budget: int | None = None) -> list[BaseCaseRow]:
+def verify_base_cases(k: int) -> list[BaseCaseRow]:
     """Exact maximum of each of the nine small classes beside its reference
     value."""
     if k < 3:
         raise ValueError(f"base cases are defined for k >= 3, got {k}")
     rows = []
     for h, lam, nu in BASE_CASE_ROWS:
-        res = max_arrows(h + lam + nu, k, vertex_class=(h, lam, nu), budget=budget)
+        res = max_arrows(h + lam + nu, k, vertex_class=(h, lam, nu))
         formula = base_case_formula(h, lam, nu, k)
         rows.append(BaseCaseRow(h, lam, nu, res.maximum, formula, res.maximum == formula))
     return rows

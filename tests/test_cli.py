@@ -67,13 +67,10 @@ def test_star_search_budget_exhaustion_is_exit_3():
     assert main(["star-search", "--m", "6", "--k", "2", "--budget", "1"]) == 3
 
 
-def test_budget_below_one_is_a_usage_error(monkeypatch, capsys):
+def test_budget_below_one_is_a_usage_error(capsys):
     for budget in ("0", "-1"):
         assert main(["star-search", "--m", "6", "--k", "2", "--budget", budget]) == 2
         assert "budget must be >= 1" in capsys.readouterr().err
-    monkeypatch.setenv("FANFREE_BUDGET", "0")
-    assert main(["star-search", "--m", "6", "--k", "2"]) == 2
-    assert "budget must be >= 1" in capsys.readouterr().err
 
 
 def test_python_dash_m_fanfree_runs_the_cli(tmp_path):
@@ -236,13 +233,6 @@ def test_repro_fast_battery_known_status(tmp_path):
 
 def test_repro_with_tiny_budget_is_inconclusive(tmp_path):
     assert main(["repro", "--budget", "1", "--out", str(tmp_path / "c.json")]) == 3
-
-
-def test_budget_env_var_is_honored(monkeypatch):
-    monkeypatch.setenv("FANFREE_BUDGET", "1")
-    assert main(["star-search", "--m", "6", "--k", "2"]) == 3
-    monkeypatch.delenv("FANFREE_BUDGET")
-    assert main(["star-search", "--m", "6", "--k", "2"]) == 0
 
 
 def test_fault_injection_fails_the_battery(monkeypatch):

@@ -319,27 +319,77 @@ def test_sweep_matches_all_pairs_reference():
     outcomes = {"pairs": 0, "error": 0}
     for _ in range(400):
         d = coarse_drawing(rng)
-        assert validate_simplicity(d).violations == reference_violations(d)
-        want_pairs, want_bad = reference_crossings(d)
-        if want_bad is None:
-            assert compute_crossings(d).pairs == want_pairs
-            outcomes["pairs"] += 1
-        else:
-            with pytest.raises(SimplicityError) as exc:
-                compute_crossings(d)
-            assert (exc.value.kind, exc.value.indices) == ("degenerate-contact", want_bad)
+        if assert_matches_reference(d) is None:
             outcomes["error"] += 1
+        else:
+            outcomes["pairs"] += 1
     assert min(outcomes.values()) >= 40, outcomes
 
 
-def test_degenerate_contact_names_the_smallest_pair():
-    # edges 1 and 2 touch at the far left, where the sweep starts; edges 0
-    # and 3 touch at the far right; (0, 3) is the smaller pair
+def test_non_simple_drawing_raises_its_first_violation():
+    # vertex 4 lies inside edge 1, at the far left, where the sweep starts;
+    # vertex 6 lies inside edge 0, at the far right; the report lists both
+    # and compute_crossings raises the first
     coords = (F(10, 0), F(14, 0), F(0, 0), F(4, 0), F(2, 0), F(2, 3), F(12, 0), F(12, 3))
     d = StraightLineDrawing(Graph(8, ((0, 1), (2, 3), (4, 5), (6, 7))), coords)
+    assert validate_simplicity(d).violations == (
+        ("vertex-on-edge", (4, 1)), ("vertex-on-edge", (6, 0)))
     with pytest.raises(SimplicityError) as exc:
         compute_crossings(d)
-    assert exc.value.indices == (0, 3)
+    assert (exc.value.kind, exc.value.indices) == ("vertex-on-edge", (4, 1))
+
+
+def raised(read):
+    """Kind, indices and message of the SimplicityError that ``read()`` raises."""
+    with pytest.raises(SimplicityError) as exc:
+        read()
+    return exc.value.kind, exc.value.indices, str(exc.value)
+
+
+def test_compute_crossings_raises_what_d_crossings_raises():
+    # faults only at vertices: an isolated vertex inside edge 0 (edges 1 and
+    # 2 cross), and two vertices on one point whose edges meet only there
+    drawings = {
+        ("vertex-on-edge", (2, 0)): (
+            Graph(7, ((0, 1), (3, 4), (5, 6))),
+            (F(0, 0), F(4, 0), F(2, 0), F(0, 2), F(4, 6), F(0, 6), F(4, 2)),
+        ),
+        ("coincident-vertices", (0, 2)): (
+            Graph(4, ((0, 1), (2, 3))), (F(0, 0), F(2, 0), F(0, 0), F(0, 2))
+        ),
+    }
+    for first, (g, coords) in drawings.items():
+        want = raised(lambda: StraightLineDrawing(g, coords).crossings)
+        assert want == first + (f"drawing is not simple: {first}",)
+        d = StraightLineDrawing(g, coords)
+        assert raised(lambda: compute_crossings(d)) == want
+        assert raised(lambda: d.crossings) == want
+
+
+def test_simplicity_report_is_kept_on_the_drawing():
+    d = StraightLineDrawing(
+        Graph(3, ((0, 1),)), (F(0, 0), F(4, 0), F(2, 0))
+    )
+    assert validate_simplicity(d) is validate_simplicity(d) is d.simplicity
+
+
+def test_check_then_audit_validates_a_drawing_once(monkeypatch):
+    # the path of ``fanfree check`` then ``fanfree audit`` on a fan-free
+    # drawing below the sweep threshold runs the vertex pass once
+    import fanfree.crossings as cr
+    from fanfree.constructions import gen_straight_extremal
+    from fanfree.decompose import audit
+
+    g = gen_straight_extremal(8)
+    d = StraightLineDrawing(g.graph, g.coords)
+    assert len(d.graph.edges) < SWEEP_MIN_EDGES
+    calls = []
+    real = cr._simplicity_report
+    monkeypatch.setattr(cr, "_simplicity_report", lambda d: calls.append(d) or real(d))
+    assert validate_simplicity(d).ok
+    assert not find_k_fans(d.graph, compute_crossings(d), 2)
+    assert audit(d, 2).ok
+    assert len(calls) == 1 and calls[0] is d
 
 
 def test_duplicate_edges_are_not_adjacent_overlap():
@@ -351,17 +401,22 @@ def test_duplicate_edges_are_not_adjacent_overlap():
 
 
 def assert_matches_reference(d):
-    """validate_simplicity and compute_crossings against the all-pairs
-    references above; returns the reference crossing pairs, or None when the
-    drawing has a degenerate contact."""
-    assert validate_simplicity(d).violations == reference_violations(d)
-    want_pairs, want_bad = reference_crossings(d)
-    if want_bad is not None:
-        with pytest.raises(SimplicityError) as exc:
-            compute_crossings(d)
-        assert (exc.value.kind, exc.value.indices) == ("degenerate-contact", want_bad)
+    """validate_simplicity, compute_crossings and d.crossings against the
+    all-pairs references above.  A drawing with a reference violation makes
+    compute_crossings and d.crossings raise the first one; any other drawing
+    gets the reference pairs from both, and the reference finds no
+    degenerate contact in it.  Returns the pairs, or None for a drawing that
+    is not simple."""
+    violations = reference_violations(d)
+    assert validate_simplicity(d).violations == violations
+    if violations:
+        want = raised(lambda: compute_crossings(d))
+        assert want[:2] == violations[0]
+        assert raised(lambda: d.crossings) == want
         return None
-    assert compute_crossings(d).pairs == want_pairs
+    want_pairs, want_bad = reference_crossings(d)
+    assert want_bad is None
+    assert compute_crossings(d).pairs == d.crossings.pairs == want_pairs
     return want_pairs
 
 
@@ -407,25 +462,24 @@ def test_many_denominators_match_reference():
     from math import lcm
 
     rng = random.Random(1311)
-    outcomes = {"pairs": 0, "crossing": 0, "error": 0, "non-simple": 0}
+    outcomes = {"pairs": 0, "crossing": 0, "non-simple": 0}
     big_lcm = 0
     for _ in range(300):
         d = many_denominators_drawing(rng)
         big_lcm = max(big_lcm, lcm(*(c.denominator for p in d.coords for c in p)))
         pairs = assert_matches_reference(d)
         if pairs is None:
-            outcomes["error"] += 1
+            outcomes["non-simple"] += 1
         else:
             outcomes["pairs"] += 1
             outcomes["crossing"] += bool(pairs)
-        outcomes["non-simple"] += not validate_simplicity(d).ok
     assert min(outcomes.values()) >= 30, outcomes
     assert big_lcm.bit_length() > 60
 
 
 # Drawings with SWEEP_MIN_EDGES edges or more: the plane sweep decides them,
 # and must give the relation of the all-pairs reference, or stop so that the
-# box sweeps give the report and the smallest degenerate pair.
+# box sweeps give the report, whose first violation compute_crossings raises.
 
 
 def assert_swept_like_reference(d):

@@ -46,17 +46,17 @@ def test_out_of_range_rejected():
 
 def test_edge_count_k6():
     k6 = Graph(6, tuple((u, v) for u in range(6) for v in range(u + 1, 6)))
-    assert k6.edge_count() == 15
+    assert len(k6.edges) == 15
 
 
 def test_edge_count_empty():
-    assert Graph(5).edge_count() == 0
+    assert len(Graph(5).edges) == 0
 
 
 def test_edge_count_quad_extremal_n12():
     from fanfree.constructions import gen_quad_extremal
 
-    assert gen_quad_extremal(12).graph.edge_count() == 40
+    assert len(gen_quad_extremal(12).graph.edges) == 40
 
 
 def test_canonicalization_idempotent():

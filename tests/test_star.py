@@ -9,7 +9,6 @@ from fanfree.star import (
     BASE_CASE_ROWS,
     InconclusiveError,
     StarConfig,
-    arrows_cross,
     bound_b,
     canonical_form,
     classify_vertices,
@@ -70,23 +69,23 @@ def test_slot_order_respected():
     )
     assert edge_order(s) == {2: [1, 0]}
     # nested on e_2: v_1's endpoint is nearer v_2, inside v_0's arrow
-    assert not arrows_cross(s, 0, 1)
-    assert arrows_cross(StarConfig(5, ((0, 2, 0), (1, 2, 1))), 0, 1)
+    assert not star_drawing(s).crossings.crosses(5, 6)
+    assert star_drawing(StarConfig(5, ((0, 2, 0), (1, 2, 1)))).crossings.crosses(5, 6)
 
 
 def test_triangle_arrows_cross():
     s = StarConfig(3, ((0, 1, 0), (1, 2, 0)))
-    assert arrows_cross(s, 0, 1)
+    assert star_drawing(s).crossings.crosses(3, 4)
 
 
 def test_same_start_arrows_never_cross():
     s = StarConfig(5, ((0, 1, 0), (0, 2, 0)))
-    assert not arrows_cross(s, 0, 1)
+    assert not star_drawing(s).crossings.crosses(5, 6)
 
 
 def test_hexagon_far_arrows_do_not_cross():
     s = StarConfig(6, ((0, 2, 0), (3, 5, 0)))
-    assert not arrows_cross(s, 0, 1)
+    assert not star_drawing(s).crossings.crosses(6, 7)
 
 
 def test_validate_star_rejects_incident_exit():
@@ -485,7 +484,7 @@ def test_geometric_soundness_of_combinatorial_crossing():
             (a, b)
             for a in range(n_arr)
             for b in range(a + 1, n_arr)
-            if arrows_cross(s, a, b)
+            if star_drawing(s).crossings.crosses(m + a, m + b)
         }
         assert geo == comb
         for kk in (2, 3, 4):
