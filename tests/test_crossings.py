@@ -326,6 +326,13 @@ def test_sweep_matches_all_pairs_reference():
     assert min(outcomes.values()) >= 40, outcomes
 
 
+def raised(read):
+    """Kind, indices and message of the SimplicityError that ``read()`` raises."""
+    with pytest.raises(SimplicityError) as exc:
+        read()
+    return exc.value.kind, exc.value.indices, str(exc.value)
+
+
 def test_non_simple_drawing_raises_its_first_violation():
     # vertex 4 lies inside edge 1, at the far left, where the sweep starts;
     # vertex 6 lies inside edge 0, at the far right; the report lists both
@@ -334,16 +341,7 @@ def test_non_simple_drawing_raises_its_first_violation():
     d = StraightLineDrawing(Graph(8, ((0, 1), (2, 3), (4, 5), (6, 7))), coords)
     assert validate_simplicity(d).violations == (
         ("vertex-on-edge", (4, 1)), ("vertex-on-edge", (6, 0)))
-    with pytest.raises(SimplicityError) as exc:
-        compute_crossings(d)
-    assert (exc.value.kind, exc.value.indices) == ("vertex-on-edge", (4, 1))
-
-
-def raised(read):
-    """Kind, indices and message of the SimplicityError that ``read()`` raises."""
-    with pytest.raises(SimplicityError) as exc:
-        read()
-    return exc.value.kind, exc.value.indices, str(exc.value)
+    assert raised(lambda: compute_crossings(d))[:2] == ("vertex-on-edge", (4, 1))
 
 
 def test_compute_crossings_raises_what_d_crossings_raises():
