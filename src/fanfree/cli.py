@@ -54,11 +54,8 @@ def cmd_gen(args) -> int:
         obj = _con.gen_grid(args.side, args.k)
     elif fam == "kq-subdivision":
         obj = _con.gen_kq_subdivision(args.q)
-    elif fam == "tri-plus-dual":
+    else:  # tri-plus-dual: argparse's choices admit no other family
         obj = _con.gen_tri_plus_dual(args.rows, args.cols)
-    else:
-        print(f"unknown family: {fam}", file=sys.stderr)
-        return EXIT_USAGE
     if args.out:
         save(obj, args.out)
         print(f"wrote {args.out}: n={obj.graph.n}, edges={len(obj.graph.edges)}")

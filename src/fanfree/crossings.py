@@ -6,22 +6,23 @@ multiplies every coordinate by the drawing's common denominator and keeps
 the result, and every predicate after that is the sign of a 2-D integer
 expression.
 
-A drawing has a crossing relation only if it is simple.
-``validate_simplicity`` lists every violation once per drawing (kept as
-``d.simplicity``); ``compute_crossings``, whose result ``d.crossings``
-keeps, raises the first as a SimplicityError.  An endpoint on another
-segment's interior, or an overlap of collinear segments, is a violation,
-never a crossing.  Two kernels decide a drawing:
+A drawing has a crossing relation only if it is simple, and one kernel,
+``_decide``, answers both questions at once: the report that lists every
+violation, and the relation of a clean drawing.  The drawing keeps the
+pair, so ``validate_simplicity`` returns the kept report and
+``compute_crossings`` the kept relation (``d.crossings`` is that object), or
+raises the report's first violation as a SimplicityError.  An endpoint on
+another segment's interior, or an overlap of collinear segments, is a
+violation, never a crossing.  The kernel runs one of two sweeps:
 
 - ``plane_sweep``, for drawings of at least SWEEP_MIN_EDGES edges: one
   Bentley–Ottmann sweep whose work grows with edges plus crossings.  It
-  stops with None at the first degeneracy, and its result is kept as
-  ``d.sweep``, so ``validate_simplicity`` and ``compute_crossings`` share it.
+  stops with None at the first degeneracy.
 - the box sweeps, for every other drawing and for any the plane sweep
-  stops on: one record per edge, sorted by the left end of its closed
-  bounding box, so two edges (or a vertex and an edge) whose boxes are
-  apart are never tested.  The vertex pass lists the violations, and the
-  edge pass of a simple drawing tests proper crossings only.
+  stops on: one list of edge records, sorted by the left end of each
+  closed bounding box, so two edges (or a vertex and an edge) whose boxes
+  are apart are never tested.  The vertex pass lists the violations, and
+  the edge pass, run only on a simple drawing, tests proper crossings.
 """
 
 from __future__ import annotations
@@ -85,18 +86,30 @@ def _edge_records(pts, edges) -> list[tuple]:
 
 def validate_simplicity(d: StraightLineDrawing) -> SimplicityReport:
     """Report every violation of the simple straight-line drawing model,
-    sorted; computed on first use and kept as ``d.simplicity``.
-
-    Kinds: coincident-vertices, vertex-on-edge, adjacent-overlap.
-    """
+    sorted (kinds: coincident-vertices, vertex-on-edge, adjacent-overlap);
+    kept as ``d.simplicity``.  The report is decided with the crossing
+    relation, so that of a simple drawing is computed here too."""
     return d.simplicity
 
 
-def _simplicity_report(d: StraightLineDrawing) -> SimplicityReport:
-    """``validate_simplicity`` of ``d``, computed: the plane sweep, or the
-    vertex pass and the overlap pass of the box sweeps."""
-    if _swept(d) is not None:
-        return SimplicityReport(ok=True, violations=())
+def compute_crossings(d: StraightLineDrawing) -> CrossingRelation:
+    """Exact pairwise crossing relation of a simple straight-line drawing,
+    the one ``d.crossings`` keeps.  A drawing that is not simple raises
+    SimplicityError naming the first violation of ``validate_simplicity``.
+    Edges sharing an endpoint never cross.
+    """
+    rep = validate_simplicity(d)
+    if not rep.ok:
+        first = rep.violations[0]
+        raise SimplicityError(*first, f"drawing is not simple: {first}")
+    return d._decision[1]
+
+
+def _decide(d: StraightLineDrawing) -> tuple[SimplicityReport, CrossingRelation | None]:
+    """The simplicity report of ``d`` and, if it is clean, its crossing
+    relation (else None), the pair ``StraightLineDrawing`` keeps."""
+    if len(d.graph.edges) >= SWEEP_MIN_EDGES and (rel := plane_sweep(d)) is not None:
+        return SimplicityReport(ok=True, violations=()), rel
     pts = d.points
     g = d.graph
     violations: list[tuple[str, tuple]] = []
@@ -151,26 +164,16 @@ def _simplicity_report(d: StraightLineDrawing) -> SimplicityReport:
                 if x1 * y2 == y1 * x2 and x1 * x2 + y1 * y2 > 0 and o1 != o2:
                     violations.append(("adjacent-overlap", (i, j)))
 
-    violations.sort()
-    return SimplicityReport(ok=not violations, violations=tuple(violations))
+    if violations:
+        violations.sort()
+        return SimplicityReport(ok=False, violations=tuple(violations)), None
 
-
-def compute_crossings(d: StraightLineDrawing) -> CrossingRelation:
-    """Exact pairwise crossing relation of a simple straight-line drawing,
-    the one ``d.crossings`` keeps.  A drawing that is not simple raises
-    SimplicityError naming the first violation of ``validate_simplicity``.
-    Edges sharing an endpoint never cross.
-    """
-    rep = validate_simplicity(d)
-    if not rep.ok:
-        first = rep.violations[0]
-        raise SimplicityError(*first, f"drawing is not simple: {first}")
-    if (rel := _swept(d)) is not None:
-        return rel
+    # the edge pass: a simple drawing has no other contact than a proper
+    # crossing, each segment's ends strictly on both sides of the other's line
     pairs = set()
-    active: list[tuple] = []
+    active = []
     left = None
-    for rec in _edge_records(d.points, d.graph.edges):
+    for rec in recs:
         xlo, _, ylo, yhi, i, u, v, ax, ay, bx, by, dx, dy, c = rec
         if xlo != left:  # the boxes that end left of xlo leave
             active = [r for r in active if r[1] >= xlo]
@@ -181,8 +184,6 @@ def compute_crossings(d: StraightLineDrawing) -> CrossingRelation:
             _, _, _, _, j, u2, v2, cx, cy, ex, ey, fx, fy, c2 = r
             if u2 == u or u2 == v or v2 == u or v2 == v:
                 continue
-            # a simple drawing has no other contact than a proper crossing:
-            # each segment's ends strictly on both sides of the other's line
             o1 = dx * cy - dy * cx - c
             o2 = dx * ey - dy * ex - c
             if not o1 or not o2 or (o1 > 0) == (o2 > 0):
@@ -192,12 +193,7 @@ def compute_crossings(d: StraightLineDrawing) -> CrossingRelation:
             if o3 and o4 and (o3 > 0) != (o4 > 0):
                 pairs.add((j, i) if j < i else (i, j))
         active.append(rec)
-    return CrossingRelation(frozenset(pairs))
-
-
-def _swept(d: StraightLineDrawing) -> CrossingRelation | None:
-    """``d.sweep`` for a drawing of at least SWEEP_MIN_EDGES edges, else None."""
-    return d.sweep if len(d.graph.edges) >= SWEEP_MIN_EDGES else None
+    return SimplicityReport(ok=True, violations=()), CrossingRelation(frozenset(pairs))
 
 
 def _schedule(pending: list, x, y, w) -> None:

@@ -89,10 +89,6 @@ class CrossingRelation:
         """``crossing_lists`` of the pairs, built on first use and kept."""
         return crossing_lists(self.pairs)
 
-    def crossed_by(self, i: int) -> list[int]:
-        """Sorted edge indices crossing edge i."""
-        return list(self.adjacency.get(i, ()))
-
 
 def crossing_lists(pairs) -> dict[int, tuple[int, ...]]:
     """Edge index -> ascending indices of the edges crossing it, for every
@@ -157,29 +153,25 @@ class StraightLineDrawing:
         )
 
     @cached_property
-    def sweep(self) -> CrossingRelation | None:
-        """``crossings.plane_sweep`` of this drawing, computed on first use
-        and kept: the crossing relation, or None when the sweep stops at a
-        degeneracy.  ``validate_simplicity`` and ``compute_crossings`` read
-        it for drawings with many edges, so they share one sweep."""
+    def _decision(self):
+        """The simplicity report and, for a simple drawing, the crossing
+        relation (None otherwise), decided together on first use and kept,
+        so that a drawing is validated and intersected once."""
         from . import crossings as _cr  # not at the top: crossings imports model
 
-        return _cr.plane_sweep(self)
+        return _cr._decide(self)
 
-    @cached_property
+    @property
     def simplicity(self):
-        """``crossings.validate_simplicity`` of this drawing, computed on
-        first use and kept, so that a drawing is validated once."""
-        from . import crossings as _cr  # not at the top: crossings imports model
-
-        return _cr._simplicity_report(self)
+        """``crossings.validate_simplicity`` of this drawing: the kept report."""
+        return self._decision[0]
 
     @cached_property
     def crossings(self) -> CrossingRelation:
         """``crossings.compute_crossings`` of this drawing, computed on first
-        use and kept.  Only a simple drawing has one: otherwise this raises
-        SimplicityError (a ValueError) naming the first violation of
-        ``validate_simplicity``."""
+        use and kept: the relation decided with the report.  Only a simple
+        drawing has one: otherwise this raises SimplicityError (a
+        ValueError) naming the first violation of ``validate_simplicity``."""
         from . import crossings as _cr  # not at the top: crossings imports model
 
         return _cr.compute_crossings(self)

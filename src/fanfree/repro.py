@@ -247,26 +247,32 @@ def claim_straight_family(ns) -> list[Claim]:
     return [_claim("constructions: straight-line family attains 4n-9", check)]
 
 
-def claim_k_families(sides=(10,), ks=(3, 4, 5), qs=(4, 5, 6, 7, 8)) -> list[Claim]:
+# the stencil grids of claim_k_families (one side, each k) and the q of its
+# subdivided complete graphs
+GRID_SIDE = 10
+GRID_KS = (3, 4, 5)
+KQ_QS = (4, 5, 6, 7, 8)
+
+
+def claim_k_families() -> list[Claim]:
     def check_grid():
-        for s in sides:
-            for k in ks:
-                d = _con.gen_grid(s, k)
-                n, e = d.graph.n, len(d.graph.edges)
-                hi = 3 * (k - 1) * (n - 2)
-                lo_ok = grid_floor_ok(e, n, k)
-                if not (lo_ok and e <= hi):
-                    return False, f"side={s} k={k}: edges {e} outside [floor, {hi}]"
+        for k in GRID_KS:
+            d = _con.gen_grid(GRID_SIDE, k)
+            n, e = d.graph.n, len(d.graph.edges)
+            hi = 3 * (k - 1) * (n - 2)
+            lo_ok = grid_floor_ok(e, n, k)
+            if not (lo_ok and e <= hi):
+                return False, f"side={GRID_SIDE} k={k}: edges {e} outside [floor, {hi}]"
         return True, "all grid drawings verified k-fan-free with edges in range"
 
     def check_kq():
-        for q in qs:
+        for q in KQ_QS:
             d = _con.gen_kq_subdivision(q)
             n_exp = q + q * (q - 1)
             e_exp = 3 * q * (q - 1) // 2
             if d.graph.n != n_exp or len(d.graph.edges) != e_exp:
                 return False, f"q={q}: got n={d.graph.n}, edges={len(d.graph.edges)}"
-        return True, f"subdivided complete graphs verified for q in {tuple(qs)}"
+        return True, f"subdivided complete graphs verified for q in {KQ_QS}"
 
     return [
         _claim("constructions: stencil grids are k-fan-free with ~ (k-1)n edges", check_grid),

@@ -267,7 +267,7 @@ def realize_star(s: StarConfig) -> StraightLineDrawing:
         drawing = StraightLineDrawing(g, tuple(coords))
         with contextlib.suppress(_cr.SimplicityError):
             if all(
-                [x for x in drawing.crossings.crossed_by(m + idx) if x < m] == [e]
+                [x for x in drawing.crossings.adjacency.get(m + idx, ()) if x < m] == [e]
                 for idx, (_a, e, _t) in enumerate(s.arrows)
             ):
                 return drawing

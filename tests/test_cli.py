@@ -99,6 +99,7 @@ def test_usage_error_is_exit_2():
     assert main(["check"]) == 2
     assert main(["gen", "--family", "straight-extremal"]) == 2
     assert main(["gen", "--family", "quad-extremal", "--n", "9"]) == 2
+    assert main(["gen", "--family", "bogus"]) == 2
 
 
 def test_audit_command(tmp_path):

@@ -10,6 +10,7 @@ from fanfree.crossings import (
     compute_crossings,
     find_k_fans,
     is_k_fan_free,
+    plane_sweep,
     validate_simplicity,
 )
 from fanfree.model import FanWitness, Graph, StraightLineDrawing, crossing_lists
@@ -373,7 +374,8 @@ def test_simplicity_report_is_kept_on_the_drawing():
 
 def test_check_then_audit_validates_a_drawing_once(monkeypatch):
     # the path of ``fanfree check`` then ``fanfree audit`` on a fan-free
-    # drawing below the sweep threshold runs the vertex pass once
+    # drawing below the sweep threshold decides it once, on one list of
+    # edge records, and every step reads the one relation the drawing keeps
     import fanfree.crossings as cr
     from fanfree.constructions import gen_straight_extremal
     from fanfree.decompose import audit
@@ -381,13 +383,18 @@ def test_check_then_audit_validates_a_drawing_once(monkeypatch):
     g = gen_straight_extremal(8)
     d = StraightLineDrawing(g.graph, g.coords)
     assert len(d.graph.edges) < SWEEP_MIN_EDGES
-    calls = []
-    real = cr._simplicity_report
-    monkeypatch.setattr(cr, "_simplicity_report", lambda d: calls.append(d) or real(d))
+    calls, records = [], []
+    real, real_records = cr._decide, cr._edge_records
+    monkeypatch.setattr(cr, "_decide", lambda d: calls.append(d) or real(d))
+    monkeypatch.setattr(
+        cr, "_edge_records", lambda *a: records.append(a) or real_records(*a))
     assert validate_simplicity(d).ok
-    assert not find_k_fans(d.graph, compute_crossings(d), 2)
+    rel = compute_crossings(d)
+    assert not find_k_fans(d.graph, rel, 2)
     assert audit(d, 2).ok
+    assert compute_crossings(d) is rel is d.crossings
     assert len(calls) == 1 and calls[0] is d
+    assert len(records) == 1
 
 
 def test_duplicate_edges_are_not_adjacent_overlap():
@@ -423,7 +430,7 @@ def test_straight_family_with_multi_limb_coordinates_matches_reference():
 
     mapped = big_affine(gen_straight_extremal(30))
     assert min(abs(c).bit_length() for p in mapped.points for c in p) > 90
-    pairs = assert_swept_like_reference(mapped)
+    pairs = assert_sweep_matches_reference(mapped)
     assert len(pairs) == 4 * 30 - 9 - (3 * 30 - 6)  # one per quadrilateral face
 
 
@@ -480,7 +487,7 @@ def test_many_denominators_match_reference():
 # box sweeps give the report, whose first violation compute_crossings raises.
 
 
-def assert_swept_like_reference(d):
+def assert_sweep_matches_reference(d):
     """assert_matches_reference for a drawing the plane sweep runs on, plus
     the sweep's own answer: the reference relation, or None exactly when the
     drawing is not simple or has a self-loop or a duplicate edge."""
@@ -489,9 +496,9 @@ def assert_swept_like_reference(d):
     pairs = assert_matches_reference(d)
     clean = len(set(edges)) == len(edges) and all(u != v for u, v in edges)
     if pairs is None or not validate_simplicity(d).ok or not clean:
-        assert d.sweep is None
+        assert plane_sweep(d) is None
     else:
-        assert d.sweep.pairs == pairs
+        assert plane_sweep(d).pairs == pairs
     return pairs
 
 
@@ -507,7 +514,7 @@ def test_families_above_the_sweep_threshold_match_reference():
     drawings += [gen_grid({3: 7, 4: 6}.get(k, 5), k) for k in range(3, 10)]
     drawings += [gen_tri_plus_dual(5, 6), gen_kq_subdivision(8)]
     for d in drawings:
-        assert assert_swept_like_reference(d) is not None
+        assert assert_sweep_matches_reference(d) is not None
 
 
 PENCIL_DIRECTIONS = ((0, 1), (1, 0), (1, 1), (1, -1), (2, 1), (1, 2), (1, -2), (3, -1))
@@ -555,8 +562,8 @@ def test_pencils_of_concurrent_crossings_match_reference():
         if trial % 4 == 0:
             d = big_affine(d)
             outcomes["multi-limb"] += 1
-        pairs = assert_swept_like_reference(d)
-        if d.sweep is None:
+        pairs = assert_sweep_matches_reference(d)
+        if plane_sweep(d) is None:
             outcomes["not simple"] += 1
             continue
         outcomes["simple"] += 1
@@ -582,8 +589,8 @@ def test_non_simple_drawings_above_the_threshold_keep_report_and_pair():
     ]
     for n2, edges2, coords2 in variants:
         bad = StraightLineDrawing(Graph(n2, tuple(edges2)), tuple(coords2))
-        assert_swept_like_reference(bad)
-        assert not validate_simplicity(bad).ok and bad.sweep is None
+        assert_sweep_matches_reference(bad)
+        assert not validate_simplicity(bad).ok and plane_sweep(bad) is None
 
 
 def test_one_plane_sweep_per_drawing_and_none_below_the_threshold(monkeypatch):

@@ -348,7 +348,7 @@ def test_search_mask_rule_matches_star_drawing():
                             for b, f, t in s.arrows
                         )
                         ext = StarConfig(m, shifted + ((a, e, gap),))
-                        crossed = star_drawing(ext).crossings.crossed_by(new)
+                        crossed = star_drawing(ext).crossings.adjacency.get(new, ())
                         assert {i for i in range(new) if mask >> i & 1} == {
                             x - m for x in crossed if x >= m
                         }, (s, a, e, gap)
