@@ -261,7 +261,7 @@ def _segment_intersection(d: StraightLineDrawing, i: int, j: int):
 
 
 def cmd_repro(args) -> int:
-    claims = _repro.run_battery(deep=args.deep, seed=args.seed, budget=args.budget)
+    claims = _repro.run_battery(deep=args.deep, budget=args.budget)
     width = max(len(c.name) for c in claims)
     worst = EXIT_OK
     for c in claims:
@@ -344,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--deep", action="store_true",
                     help="include the slow star searches (8- and 9-gon at k=2, "
                          "6-gon at k=3, 5-gon at k=4) and larger samples")
-    rp.add_argument("--seed", type=int, default=20240808)
     rp.add_argument("--budget", type=int, default=None)
     rp.add_argument("--out", default=None)
     rp.set_defaults(fn=cmd_repro)

@@ -87,9 +87,9 @@ def _edge_records(pts, edges) -> list[tuple]:
 def validate_simplicity(d: StraightLineDrawing) -> SimplicityReport:
     """Report every violation of the simple straight-line drawing model,
     sorted (kinds: coincident-vertices, vertex-on-edge, adjacent-overlap);
-    kept as ``d.simplicity``.  The report is decided with the crossing
-    relation, so that of a simple drawing is computed here too."""
-    return d.simplicity
+    the report the drawing keeps.  It is decided with the crossing relation,
+    so that of a simple drawing is computed here too."""
+    return d._decision[0]
 
 
 def compute_crossings(d: StraightLineDrawing) -> CrossingRelation:

@@ -14,15 +14,14 @@ Every kernel reads the integer points ``d.points`` inline.  The rotation
 system inserts each dart by the sign of one cross product, the face walks
 follow one successor map and sum their areas as they go, an arrow's first
 hit is found by cross-multiplication, and H's components are found once.
-The records built per walk, face, arrow and audit are immutable NamedTuples
-(``FaceSet`` holds a dict and stays a frozen dataclass).  ``trace_faces``
-rejects an H with a crossing pair, then runs the face kernel ``_faces``;
-``audit`` calls ``_faces`` directly, as its H is crossing-free by construction.
+The records built per walk, face, face set, arrow and audit are immutable
+NamedTuples.  ``trace_faces`` is the one face kernel: it rejects an H with a
+crossing pair, then traces the faces.  ``audit`` calls it once on the greedy
+H, which always passes that check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -97,8 +96,7 @@ class Face(NamedTuple):
     chains: int
 
 
-@dataclass(frozen=True)
-class FaceSet:
+class FaceSet(NamedTuple):
     """The faces of H, ids in ``faces`` order, and ``dart_face``: the id of
     the face on the left of each dart (u, v) of an H edge.  An isolated
     vertex of H lies in the face whose ``isolated`` lists it, and counts as
@@ -117,12 +115,6 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
     in_h = set(h_edges)
     if any(i in in_h and j in in_h for i, j in d.crossings.pairs):
         raise ValueError("trace_faces requires a crossing-free edge set")
-    return _faces(d, h_edges)
-
-
-def _faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
-    """``trace_faces`` without its guard, for an H that is crossing-free by
-    construction, as ``maximal_plane_subgraph`` makes it."""
     g = d.graph
     pts = d.points
     rot = _rotation(pts, g, h_edges)
@@ -366,7 +358,7 @@ def audit(d: StraightLineDrawing, k: int = 2) -> DecompositionReport:
     from ``d.crossings``."""
     g = d.graph
     h_edges, k_edges = _plane_split(d, k)
-    faceset = _faces(d, h_edges)
+    faceset = trace_faces(d, h_edges)
     arrows = arrowize(d, h_edges, k_edges, faceset)
 
     falsifications: list[str] = []

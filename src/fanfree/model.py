@@ -161,11 +161,6 @@ class StraightLineDrawing:
 
         return _cr._decide(self)
 
-    @property
-    def simplicity(self):
-        """``crossings.validate_simplicity`` of this drawing: the kept report."""
-        return self._decision[0]
-
     @cached_property
     def crossings(self) -> CrossingRelation:
         """``crossings.compute_crossings`` of this drawing, computed on first

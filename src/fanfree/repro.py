@@ -127,12 +127,16 @@ class Claim:
 
 
 def _claim(name, fn) -> Claim:
+    """Run one check.  A generator whose self-check fails inside it fails
+    the claim with the error's message, and the battery goes on."""
     t0 = time.perf_counter()
     try:
         ok, detail = fn()
         status = "pass" if ok else "fail"
     except _star.InconclusiveError as exc:
         status, detail = "inconclusive", str(exc)
+    except _con.ConstructionError as exc:
+        status, detail = "fail", str(exc)
     return Claim(name, status, detail, time.perf_counter() - t0)
 
 
@@ -179,13 +183,18 @@ def claim_star_range(ms, budget=None) -> list[Claim]:
     return out
 
 
-def claim_base_cases(k=3, budget=None) -> list[Claim]:
-    """One claim per base-case class at k.  A row passes when the searched
-    maximum equals the enumerator's, is at most ``bound_b``, and either
-    equals the reference value or is certified: the class is empty, or
-    every searched witness has more arrows than the reference, has that
-    class, and realizes as a straight-line drawing with no k-fan.  A row
-    below the reference fails."""
+# the fan order of the base-case table that claim_base_cases checks
+BASE_CASE_K = 3
+
+
+def claim_base_cases(budget=None) -> list[Claim]:
+    """One claim per base-case class at k = BASE_CASE_K.  A row passes when
+    the searched maximum equals the enumerator's, is at most ``bound_b``,
+    and either equals the reference value or is certified: the class is
+    empty, or every searched witness has more arrows than the reference,
+    has that class, and realizes as a straight-line drawing with no k-fan.
+    A row below the reference fails."""
+    k = BASE_CASE_K
     out = []
     for klass in _star.BASE_CASE_ROWS:
         ref = _star.base_case_formula(*klass, k)
@@ -308,7 +317,7 @@ def _quad_skeleton_problem(n: int) -> str | None:
     return None
 
 
-def claim_audit(ns=(6, 12, 20), samples=50, seed=20240807) -> list[Claim]:
+def claim_audit(ns=(6, 12, 20), samples=50, seed=20240808) -> list[Claim]:
     """Audits of the straight-line family at each n of ``ns`` (two faces
     without arrows, one arrow in every other face) and of ``samples``
     random fan-free drawings, plus the quad family's greedy H at each n of
@@ -403,7 +412,7 @@ def claim_falsification_guard(ns=(8, 12, 20, 30)) -> list[Claim]:
     return [_claim("falsification guard: extremal inputs sit exactly at the bound", check)]
 
 
-def run_battery(deep: bool = False, seed: int = 20240808, budget=None) -> list[Claim]:
+def run_battery(deep: bool = False, budget=None) -> list[Claim]:
     """The full reproduction battery.  Deep mode adds the 8-gon and 9-gon
     searches at k = 2 (the 9-gon takes about 2.5 million search nodes), the
     exact maxima 14 of the 6-gon at k = 3 and 17 of the 5-gon at k = 4
@@ -411,12 +420,12 @@ def run_battery(deep: bool = False, seed: int = 20240808, budget=None) -> list[C
     claims: list[Claim] = []
     claims += claim_star_maxima(STAR_SMALL + (STAR_DEEP if deep else ()), budget)
     claims += claim_star_range((5, 6, 7) + ((8, 9) if deep else ()), budget)
-    claims += claim_base_cases(3, budget)
+    claims += claim_base_cases(budget)
     claims += claim_quad_family((8,) + tuple(range(10, 31)))
     claims += claim_straight_family(range(6, 31))
     claims += claim_k_families()
-    claims += claim_audit(samples=50 if not deep else 200, seed=seed)
+    claims += claim_audit(samples=50 if not deep else 200)
     claims += claim_bounds_table()
-    claims += claim_oracle(samples=100 if not deep else 500, seed=seed)
+    claims += claim_oracle(samples=100 if not deep else 500)
     claims += claim_falsification_guard()
     return claims

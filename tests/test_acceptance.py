@@ -47,7 +47,7 @@ def test_c02_star_conjecture_probe():
 
 
 def test_c03_base_case_table():
-    _report_claims("C3", claim_base_cases(3), 300.0)
+    _report_claims("C3", claim_base_cases(), 300.0)
 
 
 def test_c04_quad_extremal_family():

@@ -236,6 +236,29 @@ def test_repro_with_tiny_budget_is_inconclusive(tmp_path):
     assert main(["repro", "--budget", "1", "--out", str(tmp_path / "c.json")]) == 3
 
 
+def test_generator_fault_fails_its_claim_and_the_battery_goes_on(tmp_path, monkeypatch):
+    # a generator self-check that fails inside a claim fails that claim with
+    # the error's message; the other claims still run and --out is written.
+    # n = 25 is a size only the quad-family claim generates
+    import fanfree.constructions as fc
+
+    real = fc.gen_quad_extremal
+
+    def broken(n):
+        if n == 25:
+            raise fc.ConstructionError("quad n=25: self-check failed")
+        return real(n)
+
+    monkeypatch.setattr(fc, "gen_quad_extremal", broken)
+    out = tmp_path / "claims.json"
+    assert main(["repro", "--out", str(out)]) == 1
+    claims = json.loads(out.read_text())["claims"]
+    assert len(claims) == 22
+    assert [(c["name"], c["detail"]) for c in claims if c["status"] != "pass"] == [
+        ("constructions: quadrangulation family attains 4n-8",
+         "quad n=25: self-check failed")]
+
+
 def test_fault_injection_fails_the_battery(monkeypatch):
     # an off-by-one in a closed form must flip its claim to FAIL
     import fanfree.bounds as fb
@@ -258,7 +281,7 @@ def test_base_case_faults_fail_their_claims(monkeypatch):
     import fanfree.star as fs
 
     def failing_rows():
-        claims = fr.claim_base_cases(3)
+        claims = fr.claim_base_cases()
         return [c.name.split()[2] for c in claims if c.status == "fail"]
 
     formula = fs.base_case_formula

@@ -369,7 +369,8 @@ def test_simplicity_report_is_kept_on_the_drawing():
     d = StraightLineDrawing(
         Graph(3, ((0, 1),)), (F(0, 0), F(4, 0), F(2, 0))
     )
-    assert validate_simplicity(d) is validate_simplicity(d) is d.simplicity
+    assert validate_simplicity(d) is validate_simplicity(d) is d._decision[0]
+    assert d._decision[1] is None
 
 
 def test_check_then_audit_validates_a_drawing_once(monkeypatch):

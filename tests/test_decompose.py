@@ -18,7 +18,6 @@ from fanfree.constructions import (
     gen_tri_plus_dual,
 )
 from fanfree.decompose import (
-    _faces,
     _rotation,
     arrowize,
     audit,
@@ -341,32 +340,49 @@ def test_audit_outputs_are_pinned():
     assert digest.hexdigest() == AUDIT_PINNED_DIGEST
 
 
-def test_audit_faces_equal_the_guarded_trace_faces():
-    """``audit`` traces H with the unguarded kernel ``_faces``; on the pinned
-    cases its faces, and the arrow faces it reads off ``dart_face``, are
-    those of the public ``trace_faces``."""
+def test_audit_faces_and_arrows_are_those_of_trace_faces():
+    """On the pinned cases the audit's face records, and the arrow faces it
+    reads off ``dart_face``, are those of ``trace_faces`` on its H."""
     for d, k in pinned_cases():
         rep = audit(d, k)
         h = list(rep.h_edges)
         faceset = trace_faces(d, h)
-        assert _faces(d, h) == faceset
         assert [(fa.face, fa.complexity, fa.chains) for fa in rep.face_audits] == [
             (f.id, f.complexity, f.chains) for f in faceset.faces
         ]
         assert tuple(arrowize(d, h, list(rep.k_edges), faceset)) == rep.arrows
 
 
+def test_audit_traces_faces_once_through_trace_faces(monkeypatch):
+    """The faces of H have one entry point: an audit calls ``trace_faces``
+    exactly once, on its H."""
+    import fanfree.decompose as dec
+
+    d = gen_grid(8, 5)
+    calls = []
+
+    def counted(d, h_edges):
+        calls.append(list(h_edges))
+        return trace_faces(d, h_edges)
+
+    monkeypatch.setattr(dec, "trace_faces", counted)
+    rep = audit(d, 5)
+    assert calls == [list(rep.h_edges)]
+
+
 def test_audit_records_are_immutable():
-    """The per-walk, per-face, per-arrow and per-report records, the fan
-    witness and the simplicity report reject attribute assignment."""
+    """The per-walk, per-face, per-arrow and per-report records, the face
+    set, the fan witness and the simplicity report reject attribute
+    assignment."""
     d = gen_grid(6, 5)
     rep = audit(d, 5)
-    face = trace_faces(d, list(rep.h_edges)).faces[0]
-    records = [rep, rep.arrows[0], rep.face_audits[0], face, face.outer,
+    faceset = trace_faces(d, list(rep.h_edges))
+    face = faceset.faces[0]
+    records = [rep, rep.arrows[0], rep.face_audits[0], faceset, face, face.outer,
                FanWitness(2, 0, (0, 1)), validate_simplicity(d)]
     assert {type(r).__name__ for r in records} == {
-        "DecompositionReport", "ArrowRecord", "FaceAudit", "Face", "Walk",
-        "FanWitness", "SimplicityReport"}
+        "DecompositionReport", "ArrowRecord", "FaceAudit", "FaceSet", "Face",
+        "Walk", "FanWitness", "SimplicityReport"}
     for rec in records:
         for field in rec._fields:
             with pytest.raises(AttributeError):
