@@ -160,17 +160,16 @@ _GADGET5_COORDS = [(0, 6), (-6, -6), (5, -7), (4, -3), (4, 0)]  # C0..C4
 
 
 def _straight_parts(n: int):
-    """Skeleton Q of the straight-line family: coordinates, edges, and the
-    quadrilateral faces (triangle faces carry no diagonals)."""
+    """Skeleton Q of the straight-line family: integer points, edges, and
+    the quadrilateral faces (triangle faces carry no diagonals)."""
     if n < 6:
         raise ValueError(f"the straight-line family needs n >= 6, got {n}")
     r = n % 3
     levels = {0: n // 3, 1: (n - 4) // 3, 2: (n - 5) // 3}[r]
-    coords: list[tuple[Fraction, Fraction]] = []
+    points: list[tuple[int, int]] = []
     for j in range(levels):
         scale = 4**j
-        coords.extend((Fraction(x * scale), Fraction(y * scale))
-                      for x, y in ((0, 16), (-16, -16), (16, -16)))
+        points.extend((x * scale, y * scale) for x, y in ((0, 16), (-16, -16), (16, -16)))
     edges = []
     quads = []
     for j in range(levels):
@@ -187,7 +186,7 @@ def _straight_parts(n: int):
     b = [0, 1, 2]  # innermost level hosts the gadget
     if r == 1:
         d0, d1, d2, e = range(3 * levels, 3 * levels + 4)
-        coords.extend((Fraction(x), Fraction(y)) for x, y in _GADGET4_COORDS)
+        points.extend(_GADGET4_COORDS)
         edges += [(d0, d1), (d1, d2), (d2, e), (e, d0)]
         edges += [(b[0], d0), (b[1], d1), (b[2], d2), (b[0], e)]
         quads += [
@@ -198,7 +197,7 @@ def _straight_parts(n: int):
         ]
     elif r == 2:
         c0, c1, c2, c3, c4 = range(3 * levels, 3 * levels + 5)
-        coords.extend((Fraction(x), Fraction(y)) for x, y in _GADGET5_COORDS)
+        points.extend(_GADGET5_COORDS)
         edges += [(c0, c1), (c1, c2), (c2, c3), (c3, c4), (c4, c0), (c0, c3)]
         edges += [(b[0], c0), (b[1], c1), (b[2], c2), (b[2], c4)]
         quads += [
@@ -208,14 +207,14 @@ def _straight_parts(n: int):
             (b[2], c4, c3, c2),
             (b[2], b[0], c0, c4),
         ]
-    return coords, edges, quads
+    return points, edges, quads
 
 
 def gen_straight_extremal(n: int) -> StraightLineDrawing:
     """Straight-line fan-crossing free drawing with exactly 4n-9 edges
     (n >= 6): nested triangles whose annuli are strictly convex
     quadrilaterals, both diagonals added to every quadrilateral face."""
-    coords, q_edges, quads = _straight_parts(n)
+    points, q_edges, quads = _straight_parts(n)
     edges = list(q_edges)
     expected_pairs = set()
     for p, q, r, s in quads:
@@ -225,7 +224,7 @@ def gen_straight_extremal(n: int) -> StraightLineDrawing:
         edges.append((q, s))
         expected_pairs.add((i1, i2))
     _check(len(edges) == 4 * n - 9, f"straight-extremal n={n} edge count")
-    d = StraightLineDrawing(Graph(n, tuple(edges)), tuple(coords))
+    d = StraightLineDrawing(Graph(n, tuple(edges)), tuple(points))
     return _verified(d, 2, f"straight-extremal n={n}", expected_pairs)
 
 
@@ -266,9 +265,7 @@ def gen_grid(side: int, k: int) -> StraightLineDrawing:
         raise ValueError(f"side must be >= 4, got {side}")
     stencil = grid_stencil(k)
     n = side * side
-    coords = tuple(
-        (Fraction(x), Fraction(y)) for y in range(side) for x in range(side)
-    )
+    points = tuple((x, y) for y in range(side) for x in range(side))
 
     def vid(x, y):
         return y * side + x
@@ -280,7 +277,7 @@ def gen_grid(side: int, k: int) -> StraightLineDrawing:
                 nx, ny = x + dx, y + dy
                 if 0 <= nx < side and 0 <= ny < side:
                     edges.append((vid(x, y), vid(nx, ny)))
-    d = StraightLineDrawing(Graph(n, tuple(edges)), coords)
+    d = StraightLineDrawing(Graph(n, tuple(edges)), points)
     return _verified(d, k, f"grid side={side} k={k}")
 
 
@@ -311,7 +308,7 @@ def gen_kq_subdivision(q: int) -> StraightLineDrawing:
             y_id = len(coords)
             coords.append((vx + eps * (ux - vx), vy + eps * (uy - vy)))
             edges += [(u, x_id), (x_id, y_id), (y_id, v)]
-        d = StraightLineDrawing(Graph(n, tuple(edges)), tuple(coords))
+        d = StraightLineDrawing.from_coords(Graph(n, tuple(edges)), coords)
         with contextlib.suppress(ConstructionError):
             _check(len(edges) == 3 * len(chords), "subdivision edge count")
             return _verified(d, 2, f"kq-subdivision q={q}")
@@ -331,9 +328,7 @@ def gen_tri_plus_dual(rows: int, cols: int) -> StraightLineDrawing:
     if rows < 3 or cols < 3:
         raise ValueError("rows and cols must be >= 3")
     n = rows * cols
-    coords = tuple(
-        (Fraction(x), Fraction(y)) for y in range(rows) for x in range(cols)
-    )
+    points = tuple((x, y) for y in range(rows) for x in range(cols))
 
     def vid(x, y):
         return y * cols + x
@@ -362,4 +357,4 @@ def gen_tri_plus_dual(rows: int, cols: int) -> StraightLineDrawing:
                 add(vid(x, y), vid(x + 1, y + 2))
     edges = tuple(sorted(edge_set))
     _check(len(edges) <= 6 * n - 12, "tri-plus-dual exceeds 6n-12 edges")
-    return _verified(StraightLineDrawing(Graph(n, edges), coords), 4, "tri-plus-dual")
+    return _verified(StraightLineDrawing(Graph(n, edges), points), 4, "tri-plus-dual")

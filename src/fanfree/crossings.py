@@ -1,10 +1,9 @@
 """Exact crossing computation, drawing simplicity validation, and k-fan
 detection.
 
-Denominators are cleared once per drawing: ``StraightLineDrawing.points``
-multiplies every coordinate by the drawing's common denominator and keeps
-the result, and every predicate after that is the sign of a 2-D integer
-expression.
+A drawing stores integer points over one common denominator
+(``StraightLineDrawing.points``), and every predicate is the sign of a 2-D
+integer expression on them.
 
 A drawing has a crossing relation only if it is simple, and one kernel,
 ``_decide``, answers both questions at once: the report that lists every
@@ -18,11 +17,11 @@ violation, never a crossing.  The kernel runs one of two sweeps:
 - ``plane_sweep``, for drawings of at least SWEEP_MIN_EDGES edges: one
   Bentley–Ottmann sweep whose work grows with edges plus crossings.  It
   stops with None at the first degeneracy.
-- the box sweeps, for every other drawing and for any the plane sweep
-  stops on: one list of edge records, sorted by the left end of each
-  closed bounding box, so two edges (or a vertex and an edge) whose boxes
-  are apart are never tested.  The vertex pass lists the violations, and
-  the edge pass, run only on a simple drawing, tests proper crossings.
+- the box path, for every other drawing and for any the plane sweep stops
+  on: one record per edge.  The vertex pass tests each edge against the
+  vertices between its ends in (x, y) order and lists the violations, and
+  the edge pass, run only on a simple drawing, tests each edge against the
+  edges after it in x order that start within its x extent.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .model import (
 
 
 # Drawings with this many edges or more take ``plane_sweep`` first.  Below it
-# the box sweep's worst case is at most T(T-1)/2 pair tests, about 2,000, and
+# the box path's worst case is at most T(T-1)/2 pair tests, about 2,000, and
 # on small dense drawings the plane sweep's events cost more than that.
 SWEEP_MIN_EDGES = 64
 
@@ -66,24 +65,6 @@ def orient(a, b, c) -> int:
     return (d > 0) - (d < 0)
 
 
-def _edge_records(pts, edges) -> list[tuple]:
-    """One record per edge, sorted by xlo: (xlo, xhi, ylo, yhi, index, u, v,
-    ax, ay, bx, by, dx, dy, c), where (xlo, xhi, ylo, yhi) is the closed
-    bounding box of the segment from a = pts[u] to b = pts[v],
-    (dx, dy) = b - a and c = dx*ay - dy*ax.  The sign of dx*y - dy*x - c is
-    the orientation of the point (x, y) against the line ab."""
-    recs = []
-    for i, (u, v) in enumerate(edges):
-        ax, ay = pts[u]
-        bx, by = pts[v]
-        dx, dy = bx - ax, by - ay
-        xlo, xhi = (ax, bx) if ax <= bx else (bx, ax)
-        ylo, yhi = (ay, by) if ay <= by else (by, ay)
-        recs.append((xlo, xhi, ylo, yhi, i, u, v, ax, ay, bx, by, dx, dy, dx * ay - dy * ax))
-    recs.sort()
-    return recs
-
-
 def validate_simplicity(d: StraightLineDrawing) -> SimplicityReport:
     """Report every violation of the simple straight-line drawing model,
     sorted (kinds: coincident-vertices, vertex-on-edge, adjacent-overlap);
@@ -105,95 +86,96 @@ def compute_crossings(d: StraightLineDrawing) -> CrossingRelation:
     return d._decision[1]
 
 
+# the report of every simple drawing
+CLEAN = SimplicityReport(ok=True, violations=())
+
+
 def _decide(d: StraightLineDrawing) -> tuple[SimplicityReport, CrossingRelation | None]:
     """The simplicity report of ``d`` and, if it is clean, its crossing
     relation (else None), the pair ``StraightLineDrawing`` keeps."""
-    if len(d.graph.edges) >= SWEEP_MIN_EDGES and (rel := plane_sweep(d)) is not None:
-        return SimplicityReport(ok=True, violations=()), rel
+    edges = d.graph.edges
+    if len(edges) >= SWEEP_MIN_EDGES and (rel := plane_sweep(d)) is not None:
+        return CLEAN, rel
     pts = d.points
-    g = d.graph
+    n = len(pts)
     violations: list[tuple[str, tuple]] = []
 
-    seen: dict[tuple[int, int], int] = {}
-    for v, p in enumerate(pts):
-        if p in seen:
-            violations.append(("coincident-vertices", (seen[p], v)))
-        else:
-            seen[p] = v
+    shared: dict[tuple[int, int], list[int]] = {}  # the vertices on each shared point
+    if len(set(pts)) != n:
+        for v, p in enumerate(pts):
+            shared.setdefault(p, []).append(v)
+        shared = {p: group for p, group in shared.items() if len(group) > 1}
+        for first, *others in shared.values():
+            violations.extend(("coincident-vertices", (first, v)) for v in others)
 
-    # vertices in x order merged against the edges in xlo order: an edge
-    # enters before the first vertex at or right of its xlo and leaves
-    # before the first vertex right of its xhi
-    recs = _edge_records(pts, g.edges)
-    entered = 0
-    active: list[tuple] = []
-    left = None
-    for px, py, w in sorted((x, y, w) for w, (x, y) in enumerate(pts)):
-        if px != left:
-            while entered < len(recs) and recs[entered][0] <= px:
-                active.append(recs[entered])
-                entered += 1
-            active = [r for r in active if r[1] >= px]
-            left = px
-        for r in active:
-            if r[2] > py or r[3] < py:
-                continue
-            _, _, _, _, e, u, v, ax, ay, _, _, dx, dy, c = r
-            # on the line ab, and strictly between a and b along it (never
-            # for a self-loop, where dx = dy = 0)
-            if w != u and w != v and dx * py - dy * px == c:
-                if 0 < (px - ax) * dx + (py - ay) * dy < dx * dx + dy * dy:
-                    violations.append(("vertex-on-edge", (w, e)))
+    # records (ax, ay, bx, by, dx, dy, c, index): a is the end first in
+    # (x, y) order, (dx, dy) = b - a and c = dx*ay - dy*ax, so dx*y - dy*x - c
+    # is the orientation of (x, y) against the line ab.  A point inside the
+    # segment comes strictly between a and b in that order: the candidates
+    # are a slice of it, and one on the line ab and on neither end is inside.
+    order = sorted(range(n), key=pts.__getitem__)
+    rank = sorted(range(n), key=order.__getitem__)
+    recs = []
+    for i, (u, v) in enumerate(edges):
+        ru, rv = rank[u], rank[v]
+        if rv < ru:
+            u, v, ru, rv = v, u, rv, ru
+        a, b = pts[u], pts[v]
+        (ax, ay), (bx, by) = a, b
+        dx, dy = bx - ax, by - ay
+        c = dx * ay - dy * ax
+        recs.append((ax, ay, bx, by, dx, dy, c, i))
+        for w in order[ru + 1:rv]:
+            p = pts[w]
+            if dx * p[1] - dy * p[0] == c and p != a and p != b:
+                violations.append(("vertex-on-edge", (w, i)))
 
-    # two collinear edges pointing the same way from one vertex put the nearer
-    # far end on the other edge's interior, or on its far end, so an overlap
-    # comes with a violation found above: without one there is none to find
-    for s, inc in enumerate(g.incident_edges() if violations else ()):
-        px, py = pts[s]
-        rays = []
-        for i in inc:
-            a, b = g.edges[i]
-            o = a + b - s
-            ox, oy = pts[o]
-            rays.append((i, o, ox - px, oy - py))
-        for pos, (i, o1, x1, y1) in enumerate(rays):
-            for j, o2, x2, y2 in rays[pos + 1:]:
-                # collinear and pointing the same way from the shared
-                # endpoint; duplicate edges share both endpoints and are not
-                # overlaps
-                if x1 * y2 == y1 * x2 and x1 * x2 + y1 * y2 > 0 and o1 != o2:
-                    violations.append(("adjacent-overlap", (i, j)))
+    # two edges that leave a shared end s the same way put the nearer far
+    # end inside the other edge, or both far ends on one point, so each
+    # overlap comes from a violation found above: an edge from a vertex w
+    # inside edge e to an end of e overlaps e, and two edges from one s to
+    # two vertices on a point other than s's overlap each other
+    if violations:
+        ends: dict[tuple[int, int], list[int]] = {}
+        for i, uv in enumerate(edges):
+            ends.setdefault(uv, []).append(i)
+        overlaps = set()
+        for kind, (w, e) in violations:
+            if kind == "vertex-on-edge":
+                for s in edges[e]:
+                    for i in ends.get((s, w) if s < w else (w, s), ()):
+                        overlaps.add((i, e) if i < e else (e, i))
+        inc = d.graph.incident_edges() if shared else ()
+        for p, group in shared.items():
+            for pos, q in enumerate(group):
+                for i in inc[q]:
+                    s = sum(edges[i]) - q
+                    if pts[s] == p:
+                        continue
+                    for r in group[pos + 1:]:
+                        for j in ends.get((s, r) if s < r else (r, s), ()):
+                            overlaps.add((i, j) if i < j else (j, i))
+        violations.extend(("adjacent-overlap", ij) for ij in overlaps)
 
     if violations:
         violations.sort()
         return SimplicityReport(ok=False, violations=tuple(violations)), None
 
     # the edge pass: a simple drawing has no other contact than a proper
-    # crossing, each segment's ends strictly on both sides of the other's line
-    pairs = set()
-    active = []
-    left = None
-    for rec in recs:
-        xlo, _, ylo, yhi, i, u, v, ax, ay, bx, by, dx, dy, c = rec
-        if xlo != left:  # the boxes that end left of xlo leave
-            active = [r for r in active if r[1] >= xlo]
-            left = xlo
-        for r in active:
-            if r[2] > yhi or r[3] < ylo:
-                continue
-            _, _, _, _, j, u2, v2, cx, cy, ex, ey, fx, fy, c2 = r
-            if u2 == u or u2 == v or v2 == u or v2 == v:
-                continue
-            o1 = dx * cy - dy * cx - c
-            o2 = dx * ey - dy * ex - c
-            if not o1 or not o2 or (o1 > 0) == (o2 > 0):
-                continue
-            o3 = fx * ay - fy * ax - c2
-            o4 = fx * by - fy * bx - c2
-            if o3 and o4 and (o3 > 0) != (o4 > 0):
-                pairs.add((j, i) if j < i else (i, j))
-        active.append(rec)
-    return SimplicityReport(ok=True, violations=()), CrossingRelation(frozenset(pairs))
+    # crossing, each segment's ends strictly on both sides of the other's
+    # line.  Each edge meets the edges after it in x order whose x extent
+    # starts within its own.  Two edges that share an end have it on both
+    # lines, and a self-loop is a point on every line, so neither passes.
+    recs.sort()
+    pairs = []
+    for at, (ax, ay, bx, by, dx, dy, c, e) in enumerate(recs, 1):
+        for cx, cy, ex, ey, fx, fy, c2, f in recs[at:]:
+            if cx > bx:
+                break
+            if (dx * cy - dy * cx - c) * (dx * ey - dy * ex - c) < 0 \
+                    and (fx * ay - fy * ax - c2) * (fx * by - fy * bx - c2) < 0:
+                pairs.append((e, f))
+    return CLEAN, CrossingRelation(pairs)
 
 
 def _schedule(pending: list, x, y, w) -> None:

@@ -55,8 +55,10 @@ def maximal_plane_subgraph(
 
 
 def _rotation(pts, g: Graph, h_edges: list[int]) -> list[list[tuple]]:
-    """For each vertex, (w, dx, dy) for each H neighbour w in ccw order,
-    (dx, dy) the direction to w.  Directions with dy > 0 or (dy = 0, dx > 0)
+    """For each vertex v, (w, dx, dy, area) for each H neighbour w in ccw
+    order, (dx, dy) the direction to w and ``area`` the shoelace term
+    xw*yv - xv*yw of the dart (w, v), computed once per H edge: that of
+    (v, w) is its negative.  Directions with dy > 0 or (dy = 0, dx > 0)
     come first; within one half-plane d1 precedes d2 iff d1 x d2 > 0 (the
     drawing is simple, so no two H edges at a vertex point the same way)."""
     upper: list[list[tuple]] = [[] for _ in range(g.n)]
@@ -65,15 +67,17 @@ def _rotation(pts, g: Graph, h_edges: list[int]) -> list[list[tuple]]:
     for i in h_edges:
         u, v = edges[i]
         (ux, uy), (vx, vy) = pts[u], pts[v]
-        for a, b, dx, dy in ((u, v, vx - ux, vy - uy), (v, u, ux - vx, uy - vy)):
+        area = ux * vy - vx * uy
+        for a, b, dx, dy, term in ((u, v, vx - ux, vy - uy, -area),
+                                   (v, u, ux - vx, uy - vy, area)):
             half = upper[a] if dy > 0 or (dy == 0 and dx > 0) else lower[a]
             at = len(half)
             while at:
-                _w, ex, ey = half[at - 1]
+                _w, ex, ey, _term = half[at - 1]
                 if ex * dy - ey * dx > 0:
                     break
                 at -= 1
-            half.insert(at, (b, dx, dy))
+            half.insert(at, (b, dx, dy, term))
     return [up + low for up, low in zip(upper, lower)]
 
 
@@ -119,11 +123,11 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
     pts = d.points
     rot = _rotation(pts, g, h_edges)
     # face-on-left traversal: dart (u, v) is followed by (v, w), w the
-    # ccw-predecessor of u around v
+    # ccw-predecessor of u around v; each dart is kept with its area term
     succ = {}
     for v, ring in enumerate(rot):
-        for at, (u, _dx, _dy) in enumerate(ring):
-            succ[u, v] = ring[at - 1][0]
+        for at, (u, _dx, _dy, area) in enumerate(ring):
+            succ[u, v] = ring[at - 1][0], area
 
     outer_walks: list[tuple[tuple[int, int], Walk]] = []  # (least dart, walk)
     hole_walks: list[tuple[tuple[int, int], Walk]] = []
@@ -135,14 +139,13 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
             darts = []
             area2 = 0
             a, b = start
-            xa, ya = pts[a]
-            w = succ.pop(start)
-            while w is not None:
+            step = succ.pop(start)
+            while step is not None:
                 darts.append((a, b))
-                xb, yb = pts[b]
-                area2 += xa * yb - xb * ya
-                a, b, xa, ya = b, w, xb, yb
-                w = succ.pop((a, b), None)
+                w, area = step
+                area2 += area
+                a, b = b, w
+                step = succ.pop((a, b), None)
             darts = tuple(darts)
             (outer_walks if area2 > 0 else hole_walks).append(
                 (min(darts), Walk(darts, area2)))

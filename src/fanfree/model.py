@@ -1,9 +1,11 @@
 """Core data model: abstract graphs, straight-line drawings, crossing
 relations, and the JSON interchange format shared by every module.
 
-All types are immutable value objects.  Coordinates are exact rationals
-(``fractions.Fraction``); nothing downstream ever decides anything with a
-float.
+All types are immutable value objects.  A straight-line drawing stores its
+vertices as integer points over one common denominator, and every decision
+is the sign of an integer expression on those points; ``coords`` is their
+``fractions.Fraction`` view.  Nothing downstream ever decides anything with
+a float.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from itertools import chain, repeat, starmap
+from math import gcd, lcm
+from operator import eq, floordiv, mul
 from typing import NamedTuple
 
 SCHEMA_VERSION = 1
@@ -35,9 +39,12 @@ class Graph:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        canon = tuple(
-            (int(u), int(v)) if u <= v else (int(v), int(u)) for u, v in self.edges
-        )
+        canon = tuple((u, v) if u <= v else (v, u) for u, v in self.edges)
+        flat = list(chain.from_iterable(canon))
+        if set(map(type, flat)) <= {int} and (not flat or (min(flat) >= 0 and max(flat) < self.n)):
+            object.__setattr__(self, "edges", canon)
+            return
+        canon = tuple((int(u), int(v)) for u, v in canon)
         for i, (u, v) in enumerate(canon):
             if u < 0 or v >= self.n:
                 raise ValueError(
@@ -59,6 +66,8 @@ def validate_graph(g: Graph) -> str | None:
     """Return a description of the first violated invariant, or None if ok."""
     if g.n < 1:
         return f"vertex count must be >= 1, got {g.n}"
+    if len(set(g.edges)) == len(g.edges) and not any(starmap(eq, g.edges)):
+        return None
     seen: set[tuple[int, int]] = set()
     for i, (u, v) in enumerate(g.edges):
         if u == v:
@@ -76,9 +85,9 @@ class CrossingRelation:
     pairs: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
-        canon = frozenset(
-            (int(i), int(j)) if i <= j else (int(j), int(i)) for i, j in self.pairs
-        )
+        canon = frozenset((i, j) if i <= j else (j, i) for i, j in self.pairs)
+        if not set(map(type, chain.from_iterable(canon))) <= {int}:
+            canon = frozenset((int(i), int(j)) for i, j in canon)
         object.__setattr__(self, "pairs", canon)
 
     def crosses(self, i: int, j: int) -> bool:
@@ -112,45 +121,66 @@ def validate_crossings(g: Graph, c: CrossingRelation) -> str | None:
     return None
 
 
-def _as_fraction(x) -> Fraction:
-    if type(x) is Fraction:  # already exact; the loader builds these
-        return x
-    if isinstance(x, float):
-        raise TypeError("coordinates must be exact (int / Fraction / str), not float")
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class StraightLineDrawing:
-    """A graph plus exact rational coordinates per vertex."""
+    """A graph plus one exact point per vertex: vertex v is at
+    (X / den, Y / den) for (X, Y) = ``points[v]``, plain ints.  The
+    constructor divides out any factor ``den`` shares with every coordinate,
+    so ``den`` is the lcm of the reduced denominators and equal coordinates
+    give equal drawings.  One positive scale keeps every orientation, order
+    and incidence, so a predicate decides on ``points`` what it would on the
+    coordinates; the integers grow with the bit length of ``den``.
+    ``from_coords`` builds a drawing from rationals, and ``coords`` is the
+    Fraction view."""
 
     graph: Graph
-    coords: tuple[Coord, ...] = ()
+    points: tuple[tuple[int, int], ...] = ()
+    den: int = 1
 
     def __post_init__(self):
-        pts = tuple((_as_fraction(x), _as_fraction(y)) for x, y in self.coords)
-        object.__setattr__(self, "coords", pts)
+        pts = tuple(map(tuple, self.points))
         if len(pts) != self.graph.n:
-            raise ValueError(
-                f"{len(pts)} coordinate pairs for {self.graph.n} vertices"
-            )
+            raise ValueError(f"{len(pts)} coordinate pairs for {self.graph.n} vertices")
+        if not set(map(len, pts)) <= {2}:
+            raise ValueError("every point must be a pair (X, Y)")
+        flat = list(chain.from_iterable(pts))
+        den = self.den
+        if not set(map(type, flat)) <= {int} or type(den) is not int:
+            raise TypeError("points and den must be ints")
+        if den < 1:
+            raise ValueError(f"den must be >= 1, got {den}")
+        common = gcd(den, *flat)
+        if common != 1:
+            pts = tuple((x // common, y // common) for x, y in pts)
+            object.__setattr__(self, "den", den // common)
+        object.__setattr__(self, "points", pts)
+
+    @classmethod
+    def from_coords(cls, graph: Graph, coords) -> StraightLineDrawing:
+        """The drawing of ``graph`` with vertex v at ``coords[v]``, each
+        coordinate an int, a Fraction or a string that Fraction reads (a
+        float raises TypeError).  Its ``coords`` view holds the given values
+        as Fractions."""
+        view = []
+        for xy in coords:
+            if any(isinstance(c, float) for c in xy):
+                raise TypeError("coordinates must be exact (int / Fraction / str), not float")
+            x, y = (c if type(c) is Fraction else Fraction(c) for c in xy)
+            view.append((x, y))
+        den = lcm(*(c.denominator for xy in view for c in xy))
+        d = cls(graph, tuple(
+            (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+            for x, y in view
+        ), den)
+        d.__dict__["coords"] = tuple(view)  # the view ``coords`` would build
+        return d
 
     @cached_property
-    def points(self) -> tuple[tuple[int, int], ...]:
-        """Every vertex as plain ints (X, Y): its coordinates times the
-        drawing's common denominator, computed on first use and kept.  One
-        positive scale for the whole drawing keeps every orientation, order
-        and incidence, so a predicate decides the same on these points as on
-        the rational coordinates.
-
-        The integers grow with the bit length of the lcm of all denominators,
-        so a drawing with many distinct denominators makes every predicate
-        slower; the benchmarked inputs use one small denominator per drawing."""
-        den = lcm(*(c.denominator for xy in self.coords for c in xy))
-        return tuple(
-            (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-            for x, y in self.coords
-        )
+    def coords(self) -> tuple[Coord, ...]:
+        """Every vertex as exact rationals (x, y), built on first use and
+        kept: the form ``to_json_dict`` writes and ``render_svg`` draws."""
+        den = self.den
+        return tuple((Fraction(x, den), Fraction(y, den)) for x, y in self.points)
 
     @cached_property
     def _decision(self):
@@ -230,9 +260,12 @@ class InputError(ValueError):
 
 def _int_rows(value, what: str, width: int) -> list:
     """``value`` itself if it is a list of rows of ``width`` integers,
-    otherwise InputError."""
+    otherwise InputError naming the first bad row."""
     if not isinstance(value, list):
         raise InputError(f"{what} must be a list, got {type(value).__name__}")
+    if (set(map(type, value)) <= {list} and set(map(len, value)) <= {width}
+            and set(map(type, chain.from_iterable(value))) <= {int}):
+        return value
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != width or set(map(type, row)) != {int}:
             raise InputError(f"{what}[{i}] must be a list of {width} integers, got {row!r}")
@@ -244,8 +277,11 @@ def from_json_dict(data) -> Graph | Drawing:
     document: not an object, no integer ``n`` or no ``edges``, a row that is
     not a list of integers of the right length (a float included), a zero
     denominator, a vertex outside [0, n), a graph that fails
-    ``validate_graph``, crossings that fail ``validate_crossings``, or a
-    provenance that is not a string."""
+    ``validate_graph``, both ``coords`` and ``crossings``, crossings that
+    fail ``validate_crossings``, or a provenance that is not a string.
+
+    Coordinates are read as integers: the points over the lcm of the
+    denominators, which the drawing reduces, with no Fraction built."""
     if not isinstance(data, dict):
         raise InputError(f"the document must be a JSON object, got {type(data).__name__}")
     for key in ("n", "edges"):
@@ -253,26 +289,30 @@ def from_json_dict(data) -> Graph | Drawing:
             raise InputError(f"the document has no {key!r}")
     if type(data["n"]) is not int:
         raise InputError(f"n must be an integer, got {data['n']!r}")
-    edges = tuple(map(tuple, _int_rows(data["edges"], "edges", 2)))
     try:
-        g = Graph(data["n"], edges)
+        g = Graph(data["n"], _int_rows(data["edges"], "edges", 2))
     except ValueError as exc:  # a vertex outside [0, n)
         raise InputError(str(exc)) from None
     if problem := validate_graph(g):
         raise InputError(problem)
     if data.get("coords") is not None:
         rows = _int_rows(data["coords"], "coords", 4)
-        for i, (_xn, xd, _yn, yd) in enumerate(rows):
-            if xd == 0 or yd == 0:
-                raise InputError(f"coords[{i}] has a zero denominator")
+        cols = tuple(zip(*rows))  # xn, xd, yn, yd
+        if cols and (0 in cols[1] or 0 in cols[3]):
+            i = next(i for i, row in enumerate(rows) if row[1] == 0 or row[3] == 0)
+            raise InputError(f"coords[{i}] has a zero denominator")
         if len(rows) != g.n:
             raise InputError(f"{len(rows)} coordinate rows for {g.n} vertices")
-        return StraightLineDrawing(
-            g, tuple((Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in rows)
-        )
+        if data.get("crossings") is not None:
+            raise InputError("the document has both 'coords' and 'crossings'; "
+                             "a drawing has coordinates or a crossing relation, not both")
+        xn, xd, yn, yd = cols
+        den = lcm(*xd, *yd)
+        xs = map(mul, xn, map(floordiv, repeat(den), xd))
+        ys = map(mul, yn, map(floordiv, repeat(den), yd))
+        return StraightLineDrawing(g, tuple(zip(xs, ys)), den)
     if data.get("crossings") is not None:
-        pairs = _int_rows(data["crossings"], "crossings", 2)
-        rel = CrossingRelation(frozenset(map(tuple, pairs)))
+        rel = CrossingRelation(_int_rows(data["crossings"], "crossings", 2))
         if problem := validate_crossings(g, rel):
             raise InputError(problem)
         provenance = data.get("provenance", "external")

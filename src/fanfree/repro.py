@@ -100,7 +100,7 @@ def random_drawing(rng: random.Random, max_n: int = 12, max_edges: int = 20):
         all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(all_pairs)
         m = rng.randint(3, min(max_edges, len(all_pairs)))
-        d = StraightLineDrawing(Graph(n, tuple(sorted(all_pairs[:m]))), coords)
+        d = StraightLineDrawing.from_coords(Graph(n, tuple(sorted(all_pairs[:m]))), coords)
         with contextlib.suppress(SimplicityError):
             d.crossings  # computed and kept for a simple drawing, else raises
             return d
@@ -115,7 +115,7 @@ def random_fan_free_drawing(rng: random.Random, max_n: int = 12):
             return d
         drop = fans[0].crosser
         edges = tuple(e for i, e in enumerate(d.graph.edges) if i != drop)
-        d = StraightLineDrawing(Graph(d.graph.n, edges), d.coords)
+        d = StraightLineDrawing(Graph(d.graph.n, edges), d.points, d.den)
 
 
 @dataclass

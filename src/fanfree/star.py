@@ -264,7 +264,7 @@ def realize_star(s: StarConfig) -> StraightLineDrawing:
             sx, sy = poly[a]
             qx, qy = exit_pts[idx]
             coords.append((qx + eps * (qx - sx), qy + eps * (qy - sy)))
-        drawing = StraightLineDrawing(g, tuple(coords))
+        drawing = StraightLineDrawing.from_coords(g, coords)
         with contextlib.suppress(_cr.SimplicityError):
             if all(
                 [x for x in drawing.crossings.adjacency.get(m + idx, ()) if x < m] == [e]

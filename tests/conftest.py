@@ -17,7 +17,7 @@ def big_affine(d):
     denominator: every answer is kept, and every integer point is several
     machine words long."""
     big = 2**100 + 7
-    return StraightLineDrawing(
+    return StraightLineDrawing.from_coords(
         d.graph,
         tuple(
             (Fraction(big * x + 3**70, 2**90 + 1), Fraction(big * y - 5**40, 3**55))
@@ -32,12 +32,12 @@ def fan_fixture():
     edge cd: the canonical 2-fan."""
     g = Graph(5, ((0, 1), (0, 2), (3, 4)))  # va, vb, cd
     coords = (F(0, 0), F(2, 2), F(2, -2), F(1, 3), F(1, -3))
-    return StraightLineDrawing(g, coords)
+    return StraightLineDrawing.from_coords(g, coords)
 
 
 @pytest.fixture
 def triangle():
-    return StraightLineDrawing(
+    return StraightLineDrawing.from_coords(
         Graph(3, ((0, 1), (1, 2), (0, 2))), (F(0, 0), F(4, 0), F(0, 4))
     )
 

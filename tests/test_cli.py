@@ -329,6 +329,20 @@ def test_malformed_input_is_exit_2(tmp_path, capsys):
             assert err.startswith("error: ") and message in err, (command, err)
 
 
+def test_coords_and_crossings_together_is_exit_2(tmp_path, capsys):
+    # the loader rejects the document instead of dropping its crossings
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps({
+        "n": 4, "edges": [[0, 1], [2, 3]],
+        "coords": [[0, 1, 0, 1], [2, 1, 2, 1], [0, 1, 2, 1], [2, 1, 0, 1]],
+        "crossings": [[0, 1]],
+    }))
+    for command in ("check", "audit"):
+        assert main([command, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "both 'coords' and 'crossings'" in err, err
+
+
 def test_non_simple_drawing_is_exit_2_everywhere(tmp_path, capsys):
     # two vertices on one point: no command reads a crossing relation of it
     path = tmp_path / "coincident.json"

@@ -20,14 +20,14 @@ from conftest import F, big_affine, random_star
 
 
 def test_disjoint_segments_do_not_cross():
-    d = StraightLineDrawing(
+    d = StraightLineDrawing.from_coords(
         Graph(4, ((0, 1), (2, 3))), (F(0, 0), F(1, 0), F(0, 2), F(1, 2))
     )
     assert compute_crossings(d).pairs == frozenset()
 
 
 def test_x_configuration_crosses():
-    d = StraightLineDrawing(
+    d = StraightLineDrawing.from_coords(
         Graph(4, ((0, 1), (2, 3))), (F(0, 0), F(2, 2), F(0, 2), F(2, 0))
     )
     assert compute_crossings(d).pairs == frozenset({(0, 1)})
@@ -66,7 +66,7 @@ def test_k_below_two_rejected(fan_fixture):
 
 
 def test_vertex_on_edge_violation():
-    d = StraightLineDrawing(
+    d = StraightLineDrawing.from_coords(
         Graph(3, ((0, 1),)), (F(0, 0), F(4, 0), F(2, 0))
     )
     rep = validate_simplicity(d)
@@ -75,7 +75,7 @@ def test_vertex_on_edge_violation():
 
 
 def test_adjacent_overlap_violation():
-    d = StraightLineDrawing(
+    d = StraightLineDrawing.from_coords(
         Graph(3, ((0, 1), (0, 2))), (F(0, 0), F(2, 0), F(4, 0))
     )
     rep = validate_simplicity(d)
@@ -84,21 +84,21 @@ def test_adjacent_overlap_violation():
 
 
 def test_adjacent_collinear_opposite_directions_ok():
-    d = StraightLineDrawing(
+    d = StraightLineDrawing.from_coords(
         Graph(3, ((0, 1), (1, 2))), (F(0, 0), F(2, 0), F(4, 0))
     )
     assert validate_simplicity(d).ok
 
 
 def test_coincident_vertices_violation():
-    d = StraightLineDrawing(Graph(2, ()), (F(1, 1), F(1, 1)))
+    d = StraightLineDrawing.from_coords(Graph(2, ()), (F(1, 1), F(1, 1)))
     rep = validate_simplicity(d)
     assert ("coincident-vertices", (0, 1)) in rep.violations
 
 
 def test_endpoint_touching_interior_is_an_error():
     # endpoint of edge 1 sits in the middle of edge 0
-    d = StraightLineDrawing(
+    d = StraightLineDrawing.from_coords(
         Graph(4, ((0, 1), (2, 3))), (F(0, 0), F(4, 0), F(2, 0), F(2, 3))
     )
     with pytest.raises(SimplicityError):
@@ -107,7 +107,7 @@ def test_endpoint_touching_interior_is_an_error():
 
 
 def test_collinear_overlap_is_an_error():
-    d = StraightLineDrawing(
+    d = StraightLineDrawing.from_coords(
         Graph(4, ((0, 1), (2, 3))), (F(0, 0), F(4, 0), F(1, 0), F(5, 0))
     )
     with pytest.raises(SimplicityError):
@@ -196,14 +196,14 @@ def test_affine_invariance():
         coords = tuple(
             (a * x + b * y + f, c_ * x + e * y + g_) for x, y in d.coords
         )
-        mapped = StraightLineDrawing(d.graph, coords)
+        mapped = StraightLineDrawing.from_coords(d.graph, coords)
         assert compute_crossings(mapped).pairs == base
 
 
 def test_three_edges_through_one_point_allowed():
     # concurrent interior crossings are fine: pairwise crossings stay
     # well-defined, only endpoint contacts are simplicity errors
-    d = StraightLineDrawing(
+    d = StraightLineDrawing.from_coords(
         Graph(6, ((0, 1), (2, 3), (4, 5))),
         (F(-2, 0), F(2, 0), F(0, -2), F(0, 2), F(-2, -2), F(2, 2)),
     )
@@ -312,7 +312,7 @@ def coarse_drawing(rng: random.Random) -> StraightLineDrawing:
     if rng.random() < 0.2:
         v = rng.randrange(n)
         edges.insert(rng.randrange(len(edges) + 1), (v, v))
-    return StraightLineDrawing(Graph(n, tuple(edges)), coords)
+    return StraightLineDrawing.from_coords(Graph(n, tuple(edges)), coords)
 
 
 def test_sweep_matches_all_pairs_reference():
@@ -339,7 +339,7 @@ def test_non_simple_drawing_raises_its_first_violation():
     # vertex 6 lies inside edge 0, at the far right; the report lists both
     # and compute_crossings raises the first
     coords = (F(10, 0), F(14, 0), F(0, 0), F(4, 0), F(2, 0), F(2, 3), F(12, 0), F(12, 3))
-    d = StraightLineDrawing(Graph(8, ((0, 1), (2, 3), (4, 5), (6, 7))), coords)
+    d = StraightLineDrawing.from_coords(Graph(8, ((0, 1), (2, 3), (4, 5), (6, 7))), coords)
     assert validate_simplicity(d).violations == (
         ("vertex-on-edge", (4, 1)), ("vertex-on-edge", (6, 0)))
     assert raised(lambda: compute_crossings(d))[:2] == ("vertex-on-edge", (4, 1))
@@ -358,15 +358,15 @@ def test_compute_crossings_raises_what_d_crossings_raises():
         ),
     }
     for first, (g, coords) in drawings.items():
-        want = raised(lambda: StraightLineDrawing(g, coords).crossings)
+        want = raised(lambda: StraightLineDrawing.from_coords(g, coords).crossings)
         assert want == first + (f"drawing is not simple: {first}",)
-        d = StraightLineDrawing(g, coords)
+        d = StraightLineDrawing.from_coords(g, coords)
         assert raised(lambda: compute_crossings(d)) == want
         assert raised(lambda: d.crossings) == want
 
 
 def test_simplicity_report_is_kept_on_the_drawing():
-    d = StraightLineDrawing(
+    d = StraightLineDrawing.from_coords(
         Graph(3, ((0, 1),)), (F(0, 0), F(4, 0), F(2, 0))
     )
     assert validate_simplicity(d) is validate_simplicity(d) is d._decision[0]
@@ -375,31 +375,28 @@ def test_simplicity_report_is_kept_on_the_drawing():
 
 def test_check_then_audit_validates_a_drawing_once(monkeypatch):
     # the path of ``fanfree check`` then ``fanfree audit`` on a fan-free
-    # drawing below the sweep threshold decides it once, on one list of
-    # edge records, and every step reads the one relation the drawing keeps
+    # drawing below the sweep threshold decides it once, and every step
+    # reads the one relation the drawing keeps
     import fanfree.crossings as cr
     from fanfree.constructions import gen_straight_extremal
     from fanfree.decompose import audit
 
     g = gen_straight_extremal(8)
-    d = StraightLineDrawing(g.graph, g.coords)
+    d = StraightLineDrawing.from_coords(g.graph, g.coords)
     assert len(d.graph.edges) < SWEEP_MIN_EDGES
-    calls, records = [], []
-    real, real_records = cr._decide, cr._edge_records
+    calls = []
+    real = cr._decide
     monkeypatch.setattr(cr, "_decide", lambda d: calls.append(d) or real(d))
-    monkeypatch.setattr(
-        cr, "_edge_records", lambda *a: records.append(a) or real_records(*a))
     assert validate_simplicity(d).ok
     rel = compute_crossings(d)
     assert not find_k_fans(d.graph, rel, 2)
     assert audit(d, 2).ok
     assert compute_crossings(d) is rel is d.crossings
     assert len(calls) == 1 and calls[0] is d
-    assert len(records) == 1
 
 
 def test_duplicate_edges_are_not_adjacent_overlap():
-    d = StraightLineDrawing(
+    d = StraightLineDrawing.from_coords(
         Graph(3, ((0, 1), (1, 2), (0, 1))), (F(0, 0), F(2, 0), F(1, 3))
     )
     assert validate_simplicity(d).ok
@@ -461,7 +458,7 @@ def many_denominators_drawing(rng: random.Random) -> StraightLineDrawing:
                                 for _ in range(2)))
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = rng.sample(all_pairs, rng.randint(1, min(18, len(all_pairs))))
-    return StraightLineDrawing(Graph(n, tuple(edges)), tuple(coords))
+    return StraightLineDrawing.from_coords(Graph(n, tuple(edges)), tuple(coords))
 
 
 def test_many_denominators_match_reference():
@@ -551,7 +548,7 @@ def pencil_drawing(rng: random.Random):
         u, v = sorted(rng.sample(range(len(coords)), 2))
         if (u, v) not in edges:
             edges.append((u, v))
-    d = StraightLineDrawing(Graph(len(coords), tuple(edges)), tuple(map(tuple, coords)))
+    d = StraightLineDrawing.from_coords(Graph(len(coords), tuple(edges)), tuple(map(tuple, coords)))
     return d, pencils
 
 
@@ -589,7 +586,7 @@ def test_non_simple_drawings_above_the_threshold_keep_report_and_pair():
         (n + 1, edges + ((edges[0][0], n),), coords + [((ax + 3 * bx) / 4, (ay + 3 * by) / 4)]),
     ]
     for n2, edges2, coords2 in variants:
-        bad = StraightLineDrawing(Graph(n2, tuple(edges2)), tuple(coords2))
+        bad = StraightLineDrawing.from_coords(Graph(n2, tuple(edges2)), tuple(coords2))
         assert_sweep_matches_reference(bad)
         assert not validate_simplicity(bad).ok and plane_sweep(bad) is None
 
@@ -602,7 +599,7 @@ def test_one_plane_sweep_per_drawing_and_none_below_the_threshold(monkeypatch):
     calls = []
     real = cr.plane_sweep
     monkeypatch.setattr(cr, "plane_sweep", lambda d: calls.append(d) or real(d))
-    large = StraightLineDrawing(d.graph, d.coords)
+    large = StraightLineDrawing.from_coords(d.graph, d.coords)
     assert len(large.graph.edges) >= SWEEP_MIN_EDGES
     assert validate_simplicity(large).ok
     assert compute_crossings(large) == large.crossings == d.crossings

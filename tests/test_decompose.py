@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from math import gcd
 
 import pytest
@@ -41,7 +41,7 @@ from conftest import F, big_affine
 
 
 def x_drawing():
-    return StraightLineDrawing(
+    return StraightLineDrawing.from_coords(
         Graph(4, ((0, 2), (1, 3))), (F(0, 0), F(2, 0), F(2, 2), F(0, 2))
     )
 
@@ -82,7 +82,7 @@ def test_trace_faces_triangle(triangle):
 
 
 def test_trace_faces_disjoint_triangles():
-    d = StraightLineDrawing(
+    d = StraightLineDrawing.from_coords(
         Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))),
         (F(0, 0), F(4, 0), F(0, 4), F(10, 0), F(14, 0), F(10, 4)),
     )
@@ -95,7 +95,7 @@ def test_trace_faces_disjoint_triangles():
 
 
 def test_trace_faces_path():
-    d = StraightLineDrawing(Graph(3, ((0, 1), (1, 2))), (F(0, 0), F(4, 0), F(8, 1)))
+    d = StraightLineDrawing.from_coords(Graph(3, ((0, 1), (1, 2))), (F(0, 0), F(4, 0), F(8, 1)))
     faces = trace_faces(d, [0, 1]).faces
     assert [(f.bounded, f.complexity, f.chains) for f in faces] == [(False, 4, 1)]
 
@@ -208,7 +208,7 @@ def test_audit_rejects_fan_crossing_input(fan_fixture):
 
 
 def test_audit_rejects_tiny_n():
-    d = StraightLineDrawing(Graph(2, ((0, 1),)), (F(0, 0), F(1, 0)))
+    d = StraightLineDrawing.from_coords(Graph(2, ((0, 1),)), (F(0, 0), F(1, 0)))
     with pytest.raises(ValueError):
         audit(d, 2)
 
@@ -255,7 +255,8 @@ def test_trace_faces_with_relation_rejects_crossing_pair():
 
 def test_audit_computes_the_crossing_relation_once(monkeypatch):
     # the generator's self-check reads d.crossings and audit reuses it; the
-    # integer points are computed once per drawing and shared by all readers
+    # integer points are stored once per drawing and every reader after the
+    # constructor shares the stored tuple
     import fanfree.crossings as cr
 
     calls = Counter()
@@ -268,20 +269,33 @@ def test_audit_computes_the_crossing_relation_once(monkeypatch):
             return real(d)
         return counted
 
+    reads = []  # (drawing id, the tuple read)
+
+    class Points:
+        def __get__(self, d, owner=None):
+            if d is None:
+                return self
+            reads.append((id(d), d.__dict__["points"]))
+            return d.__dict__["points"]
+
+        def __set__(self, d, value):
+            d.__dict__["points"] = value
+
     for name in ("compute_crossings", "validate_simplicity"):
         monkeypatch.setattr(cr, name, counting(name, getattr(cr, name)))
-    points = cached_property(counting("points", StraightLineDrawing.points.func))
-    points.__set_name__(StraightLineDrawing, "points")
-    monkeypatch.setattr(StraightLineDrawing, "points", points)
-    for generate_and_audit in (
-        lambda: audit(gen_straight_extremal(9), 2),
-        lambda: audit(gen_grid(6, 5), 5),
-    ):
+    monkeypatch.setattr(StraightLineDrawing, "points", Points())
+    for generate, k in ((lambda: gen_straight_extremal(9), 2), (lambda: gen_grid(6, 5), 5)):
         calls.clear()
         drawings.clear()
-        assert generate_and_audit().ok
-        assert calls == {"compute_crossings": 1, "validate_simplicity": 1, "points": 1}
-        assert len(drawings) == 1
+        reads.clear()
+        d = generate()
+        assert audit(d, k).ok
+        assert calls == {"compute_crossings": 1, "validate_simplicity": 1}
+        assert drawings == {id(d)}
+        # the first read is the constructor's own, of the tuple it was given
+        stored = d.__dict__["points"]
+        assert len(reads) > 1 and {i for i, _ in reads} == {id(d)}
+        assert all(p is stored for _, p in reads[1:])
 
 
 def test_crossings_are_cached_on_the_drawing():
@@ -293,7 +307,7 @@ def test_crossings_are_cached_on_the_drawing():
 def test_non_simple_drawing_has_no_crossing_relation():
     # two vertices on one point: validate_simplicity names the first
     # violation, and neither the relation nor an audit exists
-    d = StraightLineDrawing(
+    d = StraightLineDrawing.from_coords(
         Graph(4, ((0, 1), (2, 3))), (F(0, 0), F(2, 0), F(0, 0), F(1, 3))
     )
     with pytest.raises(SimplicityError, match="coincident-vertices"):
@@ -440,7 +454,7 @@ def _seeded_star(rng: random.Random, size: int) -> StraightLineDrawing:
         length = rng.randint(1, 5)
         coords.append(F(x * length, y * length))
     g = Graph(len(coords), tuple((0, i) for i in range(1, len(coords))))
-    return StraightLineDrawing(g, tuple(coords))
+    return StraightLineDrawing.from_coords(g, tuple(coords))
 
 
 def test_rotation_matches_the_direction_comparator():
@@ -460,8 +474,8 @@ def test_rotation_matches_the_direction_comparator():
                 lambda a, b: _direction_cmp((pts[a][0] - cx, pts[a][1] - cy),
                                             (pts[b][0] - cx, pts[b][1] - cy))))
             rot = _rotation(pts, d.graph, h)
-            assert [w for w, _dx, _dy in rot[0]] == want
-            assert all([w for w, _dx, _dy in rot[v]] == [0] for v in range(1, d.graph.n))
+            assert [w for w, *_ in rot[0]] == want
+            assert all([w for w, *_ in rot[v]] == [0] for v in range(1, d.graph.n))
             at = want.index(1)
             if cyclic is None:
                 cyclic = want[at:] + want[:at]

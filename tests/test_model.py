@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -86,7 +87,7 @@ def test_json_round_trip_graph():
 
 
 def test_json_round_trip_straight():
-    d = StraightLineDrawing(
+    d = StraightLineDrawing.from_coords(
         Graph(2, ((0, 1),)), ((Fraction(1, 3), Fraction(0)), (Fraction(2), Fraction(-5, 7)))
     )
     back = from_json_dict(json.loads(dumps(d)))
@@ -102,22 +103,67 @@ def test_json_round_trip_abstract():
 
 def test_float_coordinates_rejected():
     with pytest.raises(TypeError):
-        StraightLineDrawing(Graph(1, ()), ((0.5, 1),))
+        StraightLineDrawing.from_coords(Graph(1, ()), ((0.5, 1),))
 
 
 def test_fraction_coordinates_are_kept_as_given():
     x = Fraction(1, 3)
-    d = StraightLineDrawing(Graph(1, ()), ((x, 2),))
+    d = StraightLineDrawing.from_coords(Graph(1, ()), ((x, 2),))
     assert d.coords[0][0] is x
     assert type(d.coords[0][1]) is Fraction and d.coords[0][1] == 2
 
 
 def test_points_clear_the_common_denominator_once():
-    d = StraightLineDrawing(
+    d = StraightLineDrawing.from_coords(
         Graph(3, ()), ((Fraction(1, 2), 0), (Fraction(-2, 3), Fraction(5, 4)), (1, 1))
     )
     assert d.points == ((6, 0), (-8, 15), (12, 12))
     assert d.points is d.points
+
+
+def test_coords_and_crossings_together_are_rejected():
+    # a document is a straight-line drawing or an abstract one, never both:
+    # the crossings are not dropped in silence
+    data = {"n": 4, "edges": [[0, 1], [2, 3]],
+            "coords": [[0, 1, 0, 1], [2, 1, 2, 1], [0, 1, 2, 1], [2, 1, 0, 1]],
+            "crossings": [[0, 1]]}
+    with pytest.raises(InputError, match="both 'coords' and 'crossings'"):
+        from_json_dict(data)
+    assert from_json_dict({**data, "crossings": None}).crossings.pairs == {(0, 1)}
+
+
+def test_loaded_drawing_equals_the_one_built_from_fractions():
+    # the loader builds integer points with no Fraction; on seeded tables
+    # with unreduced rows, negative numbers, zero numerators and mixed
+    # denominators it must give the drawing that the same values as
+    # Fractions give, with the points of the lcm of the reduced denominators
+    rng = random.Random(2121)
+    seen = dict.fromkeys(("unreduced", "negative", "zero", "mixed"), 0)
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        rows = []
+        for _ in range(n):
+            row = []
+            for _ in range(2):
+                den = rng.choice((1, 2, 3, 4, 6, 9, 35, -1, -2, -6))
+                row += [rng.choice((0, rng.randint(-40, 40), den * rng.randint(-3, 3))), den]
+            rows.append(row)
+        edges = [[v, v + 1] for v in range(n - 1)]
+        loaded = from_json_dict({"n": n, "edges": edges, "coords": rows})
+        fr = tuple((Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in rows)
+        built = StraightLineDrawing.from_coords(Graph(n, tuple(map(tuple, edges))), fr)
+        den = lcm(*(c.denominator for xy in fr for c in xy))
+        assert loaded.points == built.points == tuple((int(x * den), int(y * den)) for x, y in fr)
+        assert loaded.den == built.den == den
+        assert loaded.coords == built.coords == fr
+        assert to_json_dict(loaded) == to_json_dict(built)
+        assert loaded == built and hash(loaded) == hash(built)
+        flat = [(num, d) for row in rows for num, d in (row[:2], row[2:])]
+        seen["unreduced"] += any(gcd(num, d) > 1 for num, d in flat)
+        seen["negative"] += any(num < 0 or d < 0 for num, d in flat)
+        seen["zero"] += any(num == 0 for num, _ in flat)
+        seen["mixed"] += len({c.denominator for xy in fr for c in xy}) > 1
+    assert min(seen.values()) >= 100, seen
 
 
 # values that sit on a boundary of the loader's rules: a zero denominator,
