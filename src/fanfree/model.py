@@ -187,8 +187,6 @@ class StraightLineDrawing:
         """The simplicity report and, for a simple drawing, the crossing
         relation (None otherwise), decided together on first use and kept,
         so that a drawing is validated and intersected once."""
-        from . import crossings as _cr  # not at the top: crossings imports model
-
         return _cr._decide(self)
 
     @cached_property
@@ -197,8 +195,6 @@ class StraightLineDrawing:
         use and kept: the relation decided with the report.  Only a simple
         drawing has one: otherwise this raises SimplicityError (a
         ValueError) naming the first violation of ``validate_simplicity``."""
-        from . import crossings as _cr  # not at the top: crossings imports model
-
         return _cr.compute_crossings(self)
 
 
@@ -335,3 +331,8 @@ def save(obj: Graph | Drawing, path) -> None:
 def load(path) -> Graph | Drawing:
     with open(path) as fh:
         return from_json_dict(json.load(fh))
+
+
+# Bound once, after every class ``crossings`` imports from this module: the
+# two modules import each other, and ``_decision`` and ``crossings`` use it.
+from . import crossings as _cr  # noqa: E402

@@ -311,21 +311,71 @@ class SearchResult:
     nodes: int
 
 
-class _Search:
+def _fit_kernel(m, k, start_mask, exit_mask, cut, edge_pts):
+    """The fit test of a search, over the search's own state lists (see
+    ``_search``).  ``fits(s, e, sat_s)``, with ``sat_s`` the node's
+    ``sat[s]``, gives the (gap, crossing mask) of each gap at which a new
+    arrow (s, e) keeps the star fan-free, from the gap after the copies of
+    (s, e) already on e_e."""
+    k1 = k - 1
+
+    def fits(s, e, sat_s):
+        keep = ~start_mask[s]
+        mask = (cut[s] ^ cut[e]) & keep
+        if mask & ~exit_mask[e] & sat_s:
+            return ()
+        at_e = start_mask[e]
+        at_e1 = start_mask[(e + 1) % m]
+        if (mask & at_e).bit_count() >= k1 or (mask & at_e1).bit_count() >= k1:
+            return ()
+        others = ~(at_e | at_e1)
+        pts = edge_pts[e]
+        out = []
+        for gap in range(len(pts) + 1):
+            if gap:
+                bit = 1 << pts[gap - 1]
+                if bit & keep:
+                    mask ^= bit
+                else:
+                    # a copy of (s, e): the gaps before it are not branched on
+                    out = []
+            if mask & sat_s:
+                continue
+            rest = mask & others
+            if rest.bit_count() >= k:
+                for starts in start_mask:
+                    if (rest & starts).bit_count() >= k:
+                        break
+                else:
+                    out.append((gap, mask))
+            else:
+                out.append((gap, mask))
+        return out
+
+    return fits
+
+
+def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
     """Exhaustive DFS over fan-free star configurations.
 
     Arrows are added in nondecreasing (start, exit) order with at most k-1
     copies per pair; every slot gap is branched on.  Cyclic symmetry is
     broken by forcing the lexicographically first arrow to start at v_0.
     Subtrees are pruned against the incumbent using the remaining capacity
-    of still-insertable pairs.  A node examines its pairs before it branches
-    on any, and a pair that fits at no gap is marked dead for the whole
-    subtree (supersets keep the blocking fan), so no descendant examines it
-    again; it still counts towards the capacity, which keeps the pruning,
+    of still-insertable pairs: below a branch on pair idx every arrow uses a
+    pair idx or later, at most ``room`` copies each, so no star in the
+    subtree has more than ``count + cap`` arrows, and a subtree whose bound
+    does not beat the best is left out without losing a maximum.  A node
+    examines its pairs before it branches on any, and a pair that fits at
+    no gap is marked dead for the whole subtree (supersets keep the blocking
+    fan), so no descendant examines it again; the marks are undone when the
+    node returns.  A dead pair still counts towards the capacity, which
+    then only overstates it and stays admissible; this keeps the pruning,
     and with it every node, as it was when each node examined each pair.
 
-    Sets of arrows are int bitmasks over arrow ids, an arrow's id being its
-    position on the arrow stack:
+    The search runs in one recursive function over state bound once per
+    search.  Sets of arrows are int bitmasks over arrow ids, an arrow's id
+    being its position on the arrow stack ``starts`` (its start vertices):
 
     - ``start_mask[v]``: the arrows that start at v_v, and
       ``exit_mask[e]`` the arrows that exit through e_e.
@@ -333,9 +383,18 @@ class _Search:
       through one of e_0..e_{v-1}.
     - ``sat[v]``: the arrows b on which one more crosser from v_v completes
       a k-fan, that is, crossers of b from v_v, plus 1, plus 1 if b's exit
-      edge touches v_v, is at least k.
+      edge touches v_v, is at least k.  Each node gets its own list as an
+      argument; a child's is a copy with the new arrow's changes.
     - ``slack[a][v]``: the crossers from v_v that arrow a can still take
       before it joins ``sat[v]``, which it does when this reaches 0.
+    - ``edge_pts[e]``: the arrows on e_e in slot order.
+
+    ``table[idx]`` holds what a push of pair idx = (s, e) needs: the ``cut``
+    entries it toggles, its fresh slack row (k-2 at the ends of e_e, k-1
+    elsewhere), the ends of e_e where that row is 0, and ``edge_pts[e]``.
+    The push and the pop run in the branch loop: the masks, ``cut`` and the
+    stack change once per pair, the slot list, the slack rows and the
+    child's ``sat`` once per gap.
 
     A new arrow from v_s ending in gap g of e_e crosses the arrows not from
     v_s with exactly one end on the open arc from v_s to its endpoint: those
@@ -347,8 +406,8 @@ class _Search:
     k.  The multiplicity cap k-1 per pair keeps the fans on boundary edges
     out.
 
-    ``_fits`` decides a pair at every gap in one pass, cheapest test first,
-    and each test is exact:
+    The fit test (``_fit_kernel``) decides a pair at every gap in one pass,
+    cheapest test first, and each test is exact:
 
     - The gap changes the new arrow's crossers only among the arrows that
       exit through e_e, so its crossers outside them are the same at every
@@ -362,189 +421,73 @@ class _Search:
       than k crossers from the other vertices fits without the
       per-vertex loop.
     """
+    # no budget: a bound no node count reaches, so that the check per node
+    # is one comparison
+    if budget is None:
+        budget = math.inf
+    start_mask = [0] * m
+    exit_mask = [0] * m
+    cut = [0] * m
+    edge_pts: list[list[int]] = [[] for _ in range(m)]
+    starts: list[int] = []
+    slack: list[list[int]] = []
+    # copies of each pair still insertable: k-1 minus those placed
+    room = [k - 1] * len(pairs)
+    # the pairs that fit at no gap, set by the node that found them for its
+    # subtree
+    dead = [False] * len(pairs)
+    fits = _fit_kernel(m, k, start_mask, exit_mask, cut, edge_pts)
+    table = []
+    for s, e in pairs:
+        ends = (e, (e + 1) % m)
+        fresh = [k - 2 if v in ends else k - 1 for v in range(m)]
+        # cut[v] holds an arrow (s, e) iff v >= s XOR v >= e+1 (s = e+1 is
+        # not a legal exit)
+        arc = range(s, e + 1) if s < e else range(e + 1, s)
+        tight = [v for v in ends if not fresh[v]]
+        table.append((s, e, arc, fresh, tight, edge_pts[e]))
+    npairs = len(pairs)
+    nodes = 0
+    best = -1
+    witnesses: list[StarConfig] = []
+    t0 = time.perf_counter()
 
-    def __init__(self, m, k, pairs, target_class, budget):
-        self.m = m
-        self.k = k
-        self.pairs = pairs
-        self.target = target_class
-        # no budget: a bound no node count reaches, so that the check per
-        # node is one comparison
-        self.budget = budget if budget is not None else math.inf
-        self.nodes = 0
-        self.t0 = 0.0
-        self.best = -1
-        self.witnesses: list[StarConfig] = []
-        self.starts: list[int] = []
-        self.slack: list[list[int]] = []
-        self.start_mask = [0] * m
-        self.exit_mask = [0] * m
-        self.sat = [0] * m
-        self.cut = [0] * m
-        # fresh[e]: the slack row of an arrow exiting through e_e before its
-        # crossers are counted, k-2 at the ends of e_e and k-1 elsewhere;
-        # tight[e]: the vertices where it is 0 (the ends, at k = 2)
-        self.fresh = [
-            [k - 2 if v in (e, (e + 1) % m) else k - 1 for v in range(m)] for e in range(m)
-        ]
-        self.tight = [[v for v, n in enumerate(row) if n == 0] for row in self.fresh]
-        # arc[s][e]: the v whose cut[v] holds an arrow (s, e), v >= s XOR
-        # v >= e+1 (s = e+1 is not a legal exit)
-        self.arc = [
-            [range(s, e + 1) if s < e else range(e + 1, s) for e in range(m)]
-            for s in range(m)
-        ]
-        self.edge_pts: list[list[int]] = [[] for _ in range(m)]
-        # copies of each pair still insertable: k-1 minus those placed
-        self.room = [k - 1] * len(pairs)
-        # the pairs that fit at no gap, set by the node that found them for
-        # its subtree
-        self.dead = [False] * len(pairs)
-
-    def _snapshot(self) -> StarConfig:
-        arrows = []
-        for e in range(self.m):
-            for rank, aid in enumerate(self.edge_pts[e]):
-                arrows.append((self.starts[aid], e, rank))
-        return StarConfig(self.m, tuple(sorted(arrows)))
-
-    def _record(self):
+    def record():
         """Keep the current star if it is of the target class.  The caller
         has checked that it beats the best, or ties it with room left for
         another witness."""
-        if (
-            self.target is not None
-            and vertex_classes(self.start_mask, self.exit_mask).counts != self.target
-        ):
+        nonlocal best, witnesses
+        if target is not None and vertex_classes(start_mask, exit_mask).counts != target:
             return
-        count = len(self.starts)
-        if count > self.best:
-            self.best = count
-            self.witnesses = [self._snapshot()]
-        else:
-            snap = self._snapshot()
-            if snap not in self.witnesses:
-                self.witnesses.append(snap)
+        arrows = sorted(
+            (starts[aid], e, rank) for e in range(m) for rank, aid in enumerate(edge_pts[e])
+        )
+        snap = StarConfig(m, tuple(arrows))
+        if len(starts) > best:
+            best = len(starts)
+            witnesses = [snap]
+        elif snap not in witnesses:
+            witnesses.append(snap)
 
-    def _fits(self, s, e):
-        """The (gap, crossing mask) of each gap at which a new arrow (s, e)
-        keeps the star fan-free, from the gap after the copies of (s, e)
-        already on e_e (see the class docstring for the tests)."""
-        start_mask, k = self.start_mask, self.k
-        keep = ~start_mask[s]
-        mask = (self.cut[s] ^ self.cut[e]) & keep
-        sat = self.sat[s]
-        if mask & ~self.exit_mask[e] & sat:
-            return ()
-        at_e, at_e1 = start_mask[e], start_mask[(e + 1) % self.m]
-        if (mask & at_e).bit_count() >= k - 1 or (mask & at_e1).bit_count() >= k - 1:
-            return ()
-        others = ~(at_e | at_e1)
-        pts = self.edge_pts[e]
-        out = []
-        for gap in range(len(pts) + 1):
-            if gap:
-                bit = 1 << pts[gap - 1]
-                if bit & keep:
-                    mask ^= bit
-                else:
-                    # a copy of (s, e): the gaps before it are not branched on
-                    out = []
-            if mask & sat:
-                continue
-            rest = mask & others
-            if rest.bit_count() >= k:
-                for starts in start_mask:
-                    if (rest & starts).bit_count() >= k:
-                        break
-                else:
-                    out.append((gap, mask))
-            else:
-                out.append((gap, mask))
-        return out
-
-    def _apply(self, s, e, gap, mask):
-        """Push arrow (s, e) at ``gap`` of e_e, crossing ``mask``.  Every
-        list changes in place except ``sat``, which is replaced by a copy
-        that ``_undo`` swaps back."""
-        starts, slack = self.starts, self.slack
-        aid = len(starts)
-        bit = 1 << aid
-        row = self.fresh[e][:]
-        sat = self.sat[:]
-        for v in self.tight[e]:
-            sat[v] |= bit
-        sat_s = sat[s]
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            b = low.bit_length() - 1
-            v = starts[b]
-            row[v] -= 1
-            if not row[v]:
-                sat[v] |= bit
-            other = slack[b]
-            other[s] -= 1
-            if not other[s]:
-                sat_s |= low
-        sat[s] = sat_s
-        self.sat = sat
-        self.edge_pts[e].insert(gap, aid)
-        starts.append(s)
-        slack.append(row)
-        self.start_mask[s] |= bit
-        self.exit_mask[e] |= bit
-        cut = self.cut
-        for v in self.arc[s][e]:
-            cut[v] ^= bit
-
-    def _undo(self, e, gap, mask, sat):
-        """Pop the last arrow, at ``gap`` of e_e and crossing ``mask``, and
-        put back ``sat``, the list that its ``_apply`` replaced."""
-        bit = 1 << self.edge_pts[e].pop(gap)
-        s = self.starts.pop()
-        slack = self.slack
-        slack.pop()
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            slack[low.bit_length() - 1][s] += 1
-        self.sat = sat
-        self.start_mask[s] ^= bit
-        self.exit_mask[e] ^= bit
-        cut = self.cut
-        for v in self.arc[s][e]:
-            cut[v] ^= bit
-
-    def run(self, first_limit):
-        self.t0 = time.perf_counter()
-        self._record()  # the empty star, the first incumbent
-        self._dfs(0, first_limit, sum(self.room))
-        maximum = self.best if self.best >= 0 else None
-        configs = self.witnesses if maximum is not None else []
-        return SearchResult(maximum, tuple(configs), self.nodes)
-
-    def _dfs(self, lo, limit, cap):
+    def dfs(lo, limit, cap, sat):
         """Branch on the pairs lo..limit-1; ``cap`` is ``sum(room[lo:])``."""
-        self.nodes += 1
-        if self.nodes > self.budget:
-            best = self.best if self.best >= 0 else None
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            found = best if best >= 0 else None
             raise InconclusiveError(
-                self.nodes,
-                best,
-                time.perf_counter() - self.t0,
-                self.witnesses[0] if best is not None else None,
+                nodes,
+                found,
+                time.perf_counter() - t0,
+                witnesses[0] if found is not None else None,
             )
-        pairs, room, dead, fits = self.pairs, self.room, self.dead, self._fits
-        count = len(self.starts)
+        count = len(starts)
         # Examine each pair the node can still branch on: its fitting gaps,
         # with ``cap``, the copies still insertable from it on.  A pair that
         # fits nowhere is dead for the whole subtree and marked so before
         # any child runs; it still counts towards ``cap``, so the children
         # prune exactly as if they had examined it.
-        floor = self.best - count
+        floor = best - count
         branches = []
         marked = []
         for idx in range(lo, limit):
@@ -555,7 +498,7 @@ class _Search:
                 break
             if not dead[idx]:
                 s, e = pairs[idx]
-                gaps = fits(s, e)
+                gaps = fits(s, e, sat[s])
                 if gaps:
                     branches.append((idx, cap, gaps))
                 else:
@@ -563,29 +506,67 @@ class _Search:
                     marked.append(idx)
             # later arrows at this node use pairs > idx only
             cap -= avail
-        apply, undo, dfs = self._apply, self._undo, self._dfs
-        # every child puts back this node's ``sat`` list on its ``_undo``
-        sat = self.sat
+        bit = 1 << count
         grown = count + 1
-        npairs = len(pairs)
         for idx, cap, gaps in branches:
             # the incumbent may have grown since the pair was examined
-            if count + cap <= self.best:
+            if count + cap <= best:
                 break
-            s, e = pairs[idx]
+            s, e, arc, fresh, tight, pts = table[idx]
             # the children hold one copy of the pair: one less capacity
             room[idx] -= 1
+            starts.append(s)
+            start_mask[s] |= bit
+            exit_mask[e] |= bit
+            for v in arc:
+                cut[v] ^= bit
             for gap, mask in gaps:
-                apply(s, e, gap, mask)
-                if grown > self.best or (
-                    grown == self.best and len(self.witnesses) < MAX_WITNESSES
-                ):
-                    self._record()
-                dfs(idx, npairs, cap - 1)
-                undo(e, gap, mask, sat)
+                # push: the new arrow's slack row and the child's sat
+                row = fresh[:]
+                child = sat[:]
+                for v in tight:
+                    child[v] |= bit
+                sat_s = child[s]
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    b = low.bit_length() - 1
+                    v = starts[b]
+                    row[v] -= 1
+                    if not row[v]:
+                        child[v] |= bit
+                    other = slack[b]
+                    other[s] -= 1
+                    if not other[s]:
+                        sat_s |= low
+                child[s] = sat_s
+                pts.insert(gap, count)
+                slack.append(row)
+                if grown > best or (grown == best and len(witnesses) < MAX_WITNESSES):
+                    record()
+                dfs(idx, npairs, cap - 1, child)
+                # pop
+                del pts[gap]
+                slack.pop()
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    slack[low.bit_length() - 1][s] += 1
+            starts.pop()
+            start_mask[s] ^= bit
+            exit_mask[e] ^= bit
+            for v in arc:
+                cut[v] ^= bit
             room[idx] += 1
         for idx in marked:
             dead[idx] = False
+
+    record()  # the empty star, the first incumbent
+    dfs(0, first_limit, sum(room), [0] * m)
+    maximum = best if best >= 0 else None
+    return SearchResult(maximum, tuple(witnesses) if maximum is not None else (), nodes)
 
 
 def legal_pairs(m: int, long_only: bool = False) -> list[tuple[int, int]]:
@@ -630,8 +611,7 @@ def max_arrows(
             raise ValueError(f"class counts {vertex_class} do not partition m={m}")
     pairs = legal_pairs(m, long_only)
     first_limit = sum(1 for s, _e in pairs if s == 0)
-    search = _Search(m, k, pairs, vertex_class, budget)
-    return search.run(first_limit)
+    return _search(m, k, pairs, vertex_class, budget, first_limit)
 
 
 BASE_CASE_ROWS: tuple[tuple[int, int, int], ...] = (

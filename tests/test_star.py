@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +23,7 @@ from fanfree.star import (
     sub_star,
     validate_star,
     verify_base_cases,
-    _Search,
+    _fit_kernel,
 )
 
 from fanfree.repro import brute_class_table
@@ -252,6 +253,32 @@ def test_max_arrows_budget_is_inconclusive_not_wrong():
     assert str(list(config.arrows)) in str(info.value)
 
 
+INCUMBENT_5_3 = ((0, 1, 0), (0, 1, 1), (0, 2, 1), (0, 2, 2), (0, 3, 1),
+                 (0, 3, 2), (1, 2, 0), (2, 3, 0), (3, 1, 2), (4, 2, 3))
+# (m, k, vertex class, budget) -> (nodes, best, config arrows) of the
+# InconclusiveError; the search stops at the first node past the budget
+BUDGET_STOPS = {
+    (5, 3, None, 1): (2, 1, ((0, 1, 0),)),
+    (5, 3, None, 3): (4, 3, ((0, 1, 0), (0, 1, 1), (0, 2, 0))),
+    (5, 3, None, 50): (51, 10, INCUMBENT_5_3),
+    (5, 3, None, 500): (501, 10, INCUMBENT_5_3),
+    (4, 3, (2, 0, 2), 40): (41, None, None),
+    (4, 3, (2, 0, 2), 200): (201, 4, ((0, 1, 0), (0, 2, 0), (2, 0, 0), (2, 3, 0))),
+}
+
+
+def test_budget_stops_are_pinned():
+    """The node count, incumbent and star an exhausted budget reports."""
+    for (m, k, cls, budget), want in BUDGET_STOPS.items():
+        with pytest.raises(InconclusiveError) as info:
+            max_arrows(m, k, vertex_class=cls, budget=budget)
+        err = info.value
+        config = None if err.config is None else err.config.arrows
+        assert (err.nodes, err.best, config) == want, (m, k, cls, budget)
+    # the class-filtered search needs 311 nodes in all
+    assert max_arrows(4, 3, vertex_class=(2, 0, 2), budget=311).nodes == 311
+
+
 # (m, k, filter): None, "long" for long_only, or a vertex class
 PINNED_CASES = (
     [(m, 2, None) for m in (3, 4, 5, 6, 7)]
@@ -285,14 +312,63 @@ def test_search_outputs_are_pinned():
     assert digest.hexdigest() == PINNED_DIGEST
 
 
-def _search_holding(s: StarConfig, k: int) -> _Search:
-    """A search whose arrow stack holds the arrows of s, arrow i as id i,
-    each placed at a gap where the search's own fit kernel accepts it."""
-    search = _Search(s.m, k, legal_pairs(s.m), None, None)
-    for a, e, slot in s.arrows:
-        gap = sum(s.arrows[aid][2] < slot for aid in search.edge_pts[e])
-        search._apply(a, e, gap, dict(search._fits(a, e))[gap])
-    return search
+# k >= 5, where an arrow's fresh slack rows start above 3
+PINNED_CASES_K5 = ((3, 5), (3, 6), (4, 5))
+PINNED_DIGEST_K5 = "e5eef6a5d087f63869ae5ef9d59a0045ef52a6795033a37409f63c961a731f96"
+
+
+def test_search_outputs_are_pinned_at_k5_and_up():
+    digest = hashlib.sha256()
+    found = []
+    for m, k in PINNED_CASES_K5:
+        res = max_arrows(m, k)
+        found.append((res.maximum, res.nodes))
+        digest.update(
+            repr((m, k, None, res.maximum, res.nodes, [c.arrows for c in res.configs])).encode()
+        )
+    assert found == [(9, 14), (12, 18), (16, 29040)]
+    assert digest.hexdigest() == PINNED_DIGEST_K5
+
+
+def _fit_state(s: StarConfig, k: int) -> SimpleNamespace:
+    """The search state of star s, arrow i as id i, built here from the
+    definitions in the ``_search`` docstring, with ``fits(a, e)``: the
+    search's own fit kernel over that state, at ``sat[a]``."""
+    m = s.m
+    start_mask = [0] * m
+    exit_mask = [0] * m
+    for i, (a, e, _t) in enumerate(s.arrows):
+        start_mask[a] |= 1 << i
+        exit_mask[e] |= 1 << i
+    # cut[v]: the arrows from v_0..v_v XOR those exiting through e_0..e_{v-1}
+    cut = []
+    starting = exiting = 0
+    for v in range(m):
+        starting |= start_mask[v]
+        cut.append(starting ^ exiting)
+        exiting |= exit_mask[v]
+    per = edge_order(s)
+    edge_pts = [per.get(e, []) for e in range(m)]
+    # sat[v]: arrow b is in it iff its crossers from v_v, plus 1, plus 1 if
+    # its exit edge touches v_v, reach k
+    adjacency = star_drawing(s).crossings.adjacency
+    sat = [0] * m
+    for b, (_a, f, _t) in enumerate(s.arrows):
+        for v in range(m):
+            crossers = sum(
+                1 for x in adjacency.get(m + b, ()) if x >= m and s.arrows[x - m][0] == v
+            )
+            if crossers + 1 + (v in (f, (f + 1) % m)) >= k:
+                sat[v] |= 1 << b
+    kernel = _fit_kernel(m, k, start_mask, exit_mask, cut, edge_pts)
+    return SimpleNamespace(
+        fits=lambda a, e: kernel(a, e, sat[a]),
+        start_mask=start_mask,
+        exit_mask=exit_mask,
+        cut=cut,
+        sat=sat,
+        edge_pts=edge_pts,
+    )
 
 
 def test_search_mask_rule_matches_star_drawing():
@@ -319,19 +395,19 @@ def test_search_mask_rule_matches_star_drawing():
             dead_pairs = 0
             for _ in range(2):
                 s = random_star(rng, m, k)
-                search = _search_holding(s, k)
+                search = _fit_state(s, k)
                 # a k-fan on an arrow of an extension needs k-1 crossers from
                 # one vertex besides the exit edge: more than there are here
-                wide = _search_holding(s, len(s.arrows) + 2)
+                wide = _fit_state(s, len(s.arrows) + 2)
                 new = m + len(s.arrows)
                 for a, e in legal_pairs(m):
                     copies = [t for b, f, t in s.arrows if (b, f) == (a, e)]
                     first = max(copies) + 1 if copies else 0
-                    every = wide._fits(a, e)
+                    every = wide.fits(a, e)
                     assert [gap for gap, _mask in every] == list(
                         range(first, len(search.edge_pts[e]) + 1)
                     ), (s, a, e)
-                    fits = dict(search._fits(a, e))
+                    fits = dict(search.fits(a, e))
                     base = (search.cut[a] ^ search.cut[e]) & ~search.start_mask[a]
                     dead = bool(base & ~search.exit_mask[e] & search.sat[a])
                     pre_gap = any(
