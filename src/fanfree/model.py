@@ -30,26 +30,25 @@ class Graph:
 
     Edges are stored canonically as (min, max) pairs in input order; the
     position of a pair is its stable edge index.  Isolated vertices are
-    allowed.  An endpoint outside [0, n) raises ValueError on construction;
-    self-loops and duplicate edges are representable, and ``validate_graph``
-    reports them.
+    allowed.  On construction, the first edge with an endpoint that is not
+    an int (a bool included) raises TypeError, and the first with an
+    endpoint outside [0, n) ValueError; self-loops and duplicate edges are
+    representable, and ``validate_graph`` reports them.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        flat = list(chain.from_iterable(self.edges))
+        if not set(map(type, flat)) <= {int} or (flat and (min(flat) < 0 or max(flat) >= self.n)):
+            for i, (u, v) in enumerate(self.edges):
+                if type(u) is not int or type(v) is not int:
+                    raise TypeError(f"edge {i} = {(u, v)!r} must be a pair of ints")
+                if min(u, v) < 0 or max(u, v) >= self.n:
+                    raise ValueError(f"edge {i} = ({min(u, v)}, {max(u, v)}) "
+                                     f"has a vertex outside [0, {self.n})")
         canon = tuple((u, v) if u <= v else (v, u) for u, v in self.edges)
-        flat = list(chain.from_iterable(canon))
-        if set(map(type, flat)) <= {int} and (not flat or (min(flat) >= 0 and max(flat) < self.n)):
-            object.__setattr__(self, "edges", canon)
-            return
-        canon = tuple((int(u), int(v)) for u, v in canon)
-        for i, (u, v) in enumerate(canon):
-            if u < 0 or v >= self.n:
-                raise ValueError(
-                    f"edge {i} = ({u}, {v}) has a vertex outside [0, {self.n})"
-                )
         object.__setattr__(self, "edges", canon)
 
     def incident_edges(self) -> list[list[int]]:
@@ -80,14 +79,17 @@ def validate_graph(g: Graph) -> str | None:
 
 @dataclass(frozen=True)
 class CrossingRelation:
-    """Symmetric set of crossing edge-index pairs, stored as (min, max)."""
+    """Symmetric set of crossing edge-index pairs, stored as (min, max).
+    A pair with an entry that is not an int (a bool included) raises
+    TypeError on construction."""
 
     pairs: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
+        if not set(map(type, chain.from_iterable(self.pairs))) <= {int}:
+            bad = next(p for p in self.pairs if set(map(type, p)) != {int})
+            raise TypeError(f"crossing pair {tuple(bad)!r} must be a pair of ints")
         canon = frozenset((i, j) if i <= j else (j, i) for i, j in self.pairs)
-        if not set(map(type, chain.from_iterable(canon))) <= {int}:
-            canon = frozenset((int(i), int(j)) for i, j in canon)
         object.__setattr__(self, "pairs", canon)
 
     def crosses(self, i: int, j: int) -> bool:

@@ -121,7 +121,7 @@ def random_fan_free_drawing(rng: random.Random, max_n: int = 12):
 @dataclass
 class Claim:
     name: str
-    status: str  # pass | fail | inconclusive
+    status: str  # pass | fail
     detail: str
     seconds: float
 
@@ -133,8 +133,6 @@ def _claim(name, fn) -> Claim:
     try:
         ok, detail = fn()
         status = "pass" if ok else "fail"
-    except _star.InconclusiveError as exc:
-        status, detail = "inconclusive", str(exc)
     except _con.ConstructionError as exc:
         status, detail = "fail", str(exc)
     return Claim(name, status, detail, time.perf_counter() - t0)
@@ -146,13 +144,13 @@ STAR_SMALL = ((3, 2, 1), (4, 2, 2))
 STAR_DEEP = ((6, 3, 14), (5, 4, 17))
 
 
-def claim_star_maxima(cases, budget=None) -> list[Claim]:
+def claim_star_maxima(cases) -> list[Claim]:
     """One claim per (m, k, expected maximum): the search's maximum equals
     it and every witness it returns is k-fan free."""
     out = []
     for m, k, expect in cases:
         def check(m=m, k=k, expect=expect):
-            res = _star.max_arrows(m, k, budget=budget)
+            res = _star.max_arrows(m, k)
             fanned = sum(
                 not is_k_fan_free(_star.star_drawing(cfg), k) for cfg in res.configs
             )
@@ -165,15 +163,15 @@ def claim_star_maxima(cases, budget=None) -> list[Claim]:
     return out
 
 
-def claim_star_range(ms, budget=None) -> list[Claim]:
+def claim_star_range(ms) -> list[Claim]:
     out = []
     for m in ms:
         def check(m=m):
-            res = _star.max_arrows(m, 2, budget=budget)
+            res = _star.max_arrows(m, 2)
             lo, hi = 2 * m - 6, 3 * m - 9
             ok = res.maximum is not None and lo <= res.maximum <= hi
             tight = "meets 2m-6" if res.maximum == lo else "exceeds 2m-6"
-            long_res = _star.max_arrows(m, 2, long_only=True, budget=budget)
+            long_res = _star.max_arrows(m, 2, long_only=True)
             ok = ok and long_res.maximum is not None and long_res.maximum <= 2 * m - 8
             return ok, (
                 f"max={res.maximum} in [{lo}, {hi}], {tight}; "
@@ -187,7 +185,7 @@ def claim_star_range(ms, budget=None) -> list[Claim]:
 BASE_CASE_K = 3
 
 
-def claim_base_cases(budget=None) -> list[Claim]:
+def claim_base_cases() -> list[Claim]:
     """One claim per base-case class at k = BASE_CASE_K.  A row passes when
     the searched maximum equals the enumerator's, is at most ``bound_b``,
     and either equals the reference value or is certified: the class is
@@ -201,7 +199,7 @@ def claim_base_cases(budget=None) -> list[Claim]:
 
         def check(klass=klass, ref=ref):
             m = sum(klass)
-            res = _star.max_arrows(m, k, vertex_class=klass, budget=budget)
+            res = _star.max_arrows(m, k, vertex_class=klass)
             found, enumerated = res.maximum, brute_class_table(m, k).get(klass)
             detail = f"searched={found}, enumerated={enumerated}, reference={ref}"
             if found != enumerated:
@@ -412,15 +410,15 @@ def claim_falsification_guard(ns=(8, 12, 20, 30)) -> list[Claim]:
     return [_claim("falsification guard: extremal inputs sit exactly at the bound", check)]
 
 
-def run_battery(deep: bool = False, budget=None) -> list[Claim]:
+def run_battery(deep: bool = False) -> list[Claim]:
     """The full reproduction battery.  Deep mode adds the 8-gon and 9-gon
     searches at k = 2 (the 9-gon takes about 2.5 million search nodes), the
     exact maxima 14 of the 6-gon at k = 3 and 17 of the 5-gon at k = 4
     (about two million nodes each), and larger audit and oracle samples."""
     claims: list[Claim] = []
-    claims += claim_star_maxima(STAR_SMALL + (STAR_DEEP if deep else ()), budget)
-    claims += claim_star_range((5, 6, 7) + ((8, 9) if deep else ()), budget)
-    claims += claim_base_cases(budget)
+    claims += claim_star_maxima(STAR_SMALL + (STAR_DEEP if deep else ()))
+    claims += claim_star_range((5, 6, 7) + ((8, 9) if deep else ()))
+    claims += claim_base_cases()
     claims += claim_quad_family((8,) + tuple(range(10, 31)))
     claims += claim_straight_family(range(6, 31))
     claims += claim_k_families()

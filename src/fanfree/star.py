@@ -19,6 +19,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .model import AbstractDrawing, CrossingRelation, Graph, StraightLineDrawing
 from . import crossings as _cr
@@ -30,9 +31,11 @@ class StarConfig:
     arrows: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "arrows", tuple((int(s), int(e), int(t)) for s, e, t in self.arrows)
-        )
+        arrows = tuple((s, e, t) for s, e, t in self.arrows)
+        if not set(map(type, chain.from_iterable(arrows))) <= {int}:
+            idx = next(i for i, a in enumerate(arrows) if set(map(type, a)) != {int})
+            raise TypeError(f"arrow {idx} = {arrows[idx]!r} must be three ints")
+        object.__setattr__(self, "arrows", arrows)
 
 
 def legal_exit(m: int, start: int, exit: int) -> bool:

@@ -41,6 +41,8 @@ def test_exact_extremal_values():
     assert exact_extremal_k2(6)[0] == 15
     assert exact_extremal_k2(8)[0] == 24
     assert exact_extremal_k2(12)[0] == 40
+    with pytest.raises(ValueError, match="defined for n >= 3, got 2"):
+        exact_extremal_k2(2)
 
 
 def test_exact_extremal_reasons():

@@ -6,14 +6,19 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from fanfree.cli import main
-from fanfree.model import dumps, load, save
+from fanfree.model import dumps, from_json_dict, load, save
 
 
-def test_gen_then_check_round_trip(tmp_path):
+def test_gen_then_check_round_trip(tmp_path, capsys):
     out = tmp_path / "d.json"
     assert main(["gen", "--family", "straight-extremal", "--n", "6",
                  "--out", str(out)]) == 0
     assert main(["check", "--input", str(out), "--k", "2"]) == 0
+    # without --out, gen prints the document itself
+    capsys.readouterr()
+    assert main(["gen", "--family", "straight-extremal", "--n", "6"]) == 0
+    printed = capsys.readouterr().out
+    assert dumps(from_json_dict(json.loads(printed))) + "\n" == printed == out.read_text()
 
 
 def test_round_trip_equals_in_memory(tmp_path):
@@ -34,6 +39,9 @@ def test_check_reports_witness(tmp_path, fan_fixture):
     assert code == 1
     payload = json.loads(payload_path.read_text())
     assert payload["witnesses"] == [{"crosser": 2, "apex": 0, "fan": [0, 1]}]
+    # bounds reports the fan as its verdict; a fan is no falsification
+    assert main(["bounds", "--input", str(path), "--json", str(payload_path)]) == 0
+    assert json.loads(payload_path.read_text())["verdict"] == "has-fan-crossing"
 
 
 def test_star_search_prints_maximum(capsys):
@@ -100,6 +108,22 @@ def test_usage_error_is_exit_2():
     assert main(["gen", "--family", "straight-extremal"]) == 2
     assert main(["gen", "--family", "quad-extremal", "--n", "9"]) == 2
     assert main(["gen", "--family", "bogus"]) == 2
+    assert main(["star-search", "--m", "4", "--class", "2,2"]) == 2
+    assert main(["star-search", "--m", "5", "--class", "1,1,3", "--long-only"]) == 2
+    # the battery has no node budget: every claim runs to its end
+    assert main(["repro", "--budget", "1"]) == 2
+
+
+def test_a_document_of_the_wrong_kind_is_exit_2(tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"n": 3, "edges": [[0, 1]]}))
+    for command in ("check", "audit"):
+        assert main([command, "--input", str(graph)]) == 2
+        assert "has no drawing data" in capsys.readouterr().err
+    abstract = tmp_path / "abstract.json"
+    abstract.write_text(json.dumps({"n": 4, "edges": [[0, 1], [2, 3]], "crossings": [[0, 1]]}))
+    assert main(["render", "--input", str(abstract), "--out", str(tmp_path / "d.svg")]) == 2
+    assert "needs a drawing with coordinates" in capsys.readouterr().err
 
 
 def test_audit_command(tmp_path):
@@ -115,6 +139,9 @@ def test_audit_command(tmp_path):
 def test_bounds_command(tmp_path, capsys):
     assert main(["bounds", "--n", "7", "--k", "2"]) == 0
     assert "19" in capsys.readouterr().out
+    # 3(k-1)(n-2) for k >= 3, with no exact value
+    assert main(["bounds", "--n", "9", "--k", "3"]) == 0
+    assert capsys.readouterr().out == "bound 42\n"
 
 
 def test_bounds_input_detects_a_straight_line_drawing(tmp_path):
@@ -230,10 +257,6 @@ def test_repro_fast_battery_known_status(tmp_path):
         "star classes: A(2,1,1) at k=3 against reference 4",
         "star classes: A(3,1,0) at k=3 against reference 4",
     ]
-
-
-def test_repro_with_tiny_budget_is_inconclusive(tmp_path):
-    assert main(["repro", "--budget", "1", "--out", str(tmp_path / "c.json")]) == 3
 
 
 def test_generator_fault_fails_its_claim_and_the_battery_goes_on(tmp_path, monkeypatch):

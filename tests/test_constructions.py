@@ -56,6 +56,7 @@ def test_quad_extremal_skeleton_is_bipartite_quadrangulation():
         assert len(faces) == n - 2
         assert all(len(set(f)) == 4 for f in faces)
         assert is_bipartite(n, q_edges)
+    assert not is_bipartite(3, ((0, 1), (1, 2), (0, 2)))
 
 
 def test_quad_extremal_crossings_are_exactly_one_per_face():

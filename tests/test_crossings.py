@@ -585,10 +585,24 @@ def test_non_simple_drawings_above_the_threshold_keep_report_and_pair():
         # an edge along the first one, from its end beyond its midpoint
         (n + 1, edges + ((edges[0][0], n),), coords + [((ax + 3 * bx) / 4, (ay + 3 * by) / 4)]),
     ]
+    # three more that the sweep gives up on before it starts: a copy of the
+    # first edge and a self-loop, both simple to the box path, and an edge
+    # that leaves the first edge's smaller (x, y) end the same way it does,
+    # to a new vertex 3/4 of the way along it
+    s, t = sorted(edges[0], key=coords.__getitem__)
+    (sx, sy), (tx, ty) = coords[s], coords[t]
+    variants += [
+        (n, edges + (edges[0],), coords),
+        (n, edges + ((0, 0),), coords),
+        (n + 1, edges + ((s, n),), coords + [((sx + 3 * tx) / 4, (sy + 3 * ty) / 4)]),
+    ]
     for n2, edges2, coords2 in variants:
         bad = StraightLineDrawing.from_coords(Graph(n2, tuple(edges2)), tuple(coords2))
         assert_sweep_matches_reference(bad)
-        assert not validate_simplicity(bad).ok and plane_sweep(bad) is None
+        # the box path calls a drawing simple exactly when a copy or a loop
+        # is all that is wrong with it
+        copy_or_loop = len(set(edges2)) < len(edges2) or (0, 0) in edges2
+        assert validate_simplicity(bad).ok == copy_or_loop and plane_sweep(bad) is None
 
 
 def test_one_plane_sweep_per_drawing_and_none_below_the_threshold(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -43,6 +44,27 @@ def test_out_of_range_rejected():
     for edges in (((0, 5),), ((-1, 2),)):
         with pytest.raises(ValueError, match="outside"):
             Graph(3, edges)
+
+
+def test_entries_that_are_not_ints_raise_type_error():
+    # no value is converted with int(): a float, a bool or a string is named
+    # in the error, not rounded, truncated or parsed into a vertex
+    from fanfree.star import StarConfig
+
+    for make, message in (
+        (lambda: Graph(3, ((0, 1.7),)), "edge 0 = (0, 1.7)"),
+        (lambda: Graph(3, ((0, 1), (True, 2))), "edge 1 = (True, 2)"),
+        (lambda: Graph(3, ((0, "1"),)), "edge 0 = (0, '1')"),
+        (lambda: CrossingRelation(frozenset({(0.9, 2.2)})), "crossing pair (0.9, 2.2)"),
+        (lambda: CrossingRelation([[0, 1], [1, False]]), "crossing pair (1, False)"),
+        (lambda: StarConfig(4, ((0, 2.9, 0),)), "arrow 0 = (0, 2.9, 0)"),
+    ):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            make()
+    # lists still become canonical tuples
+    assert Graph(3, [[1, 0]]).edges == ((0, 1),)
+    assert CrossingRelation([[2, 1]]).pairs == {(1, 2)}
+    assert StarConfig(4, [[0, 2, 0]]).arrows == ((0, 2, 0),)
 
 
 def test_edge_count_k6():

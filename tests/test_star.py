@@ -104,6 +104,9 @@ def test_malformed_stars_are_rejected():
         StarConfig(4, ((0, 0, 0),)),  # exit edge at its own start
         StarConfig(4, ((0, 0, 0), (0, 0, 1))),
         StarConfig(4, ((0, 1, 1),)),  # slots skip 0
+        StarConfig(2),  # fewer than three vertices
+        StarConfig(4, ((0, 1, 0), (4, 1, 1))),  # a start outside the polygon
+        StarConfig(4, ((0, -1, 0),)),  # an exit edge below 0
     ):
         message = re.escape(validate_star(s))
         with pytest.raises(ValueError, match=message):
@@ -443,6 +446,15 @@ def test_search_mask_rule_matches_star_drawing():
 def test_max_arrows_rejects_bad_class():
     with pytest.raises(ValueError):
         max_arrows(4, 3, vertex_class=(2, 1, 0))
+
+
+def test_max_arrows_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="m must be >= 3, got 2"):
+        max_arrows(2, 2)
+    with pytest.raises(ValueError, match="k must be >= 2, got 1"):
+        max_arrows(4, 1)
+    with pytest.raises(ValueError, match="choose one filter"):
+        max_arrows(4, 2, long_only=True, vertex_class=(2, 1, 1))
 
 
 def test_witness_configs_are_fan_free_and_match_class():
