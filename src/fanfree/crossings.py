@@ -28,13 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import (
-    CrossingRelation,
-    FanWitness,
-    Graph,
-    StraightLineDrawing,
-    crossing_lists,
-)
+from .model import CrossingRelation, FanWitness, Graph, StraightLineDrawing
 
 
 # Drawings with this many edges or more take ``plane_sweep`` first.  Below it
@@ -321,28 +315,45 @@ def plane_sweep(d: StraightLineDrawing) -> CrossingRelation | None:
 def find_k_fans(g: Graph, c: CrossingRelation, k: int) -> list[FanWitness]:
     """All (crosser, apex) pairs, in that order, where the crosser crosses
     >= k edges at apex, each with the k lowest-indexed of them as its fan.
-    Empty iff the drawing is k-fan-crossing free.  One pass over the pairs
-    counts, and the crossing lists are built only if some count reaches k."""
+    Empty iff the drawing is k-fan-crossing free.
+
+    One pass over the pairs files each crossed edge in a bucket under the
+    key crosser * n + apex, whose order is (crosser, apex) order, and the
+    witnesses are read off the buckets that reach k, in key order.  A key's
+    first edge is kept as a bare int, the pair sum i + j (the crossed edge
+    plus the crosser, which the key gives back), and a list is made only
+    at its second edge: on a fan-free drawing few keys, and at k = 2 none,
+    get a second edge, so the pass costs what a count per key would."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     n, edges = g.n, g.edges
-    counts: dict[int, int] = {}
-    hot = []  # keys crosser * n + apex, whose order is (crosser, apex) order
+    buckets: dict[int, int | list[int]] = {}
+    get = buckets.get
+    hot = []  # the keys whose bucket reached k
     for i, j in c.pairs:
-        for key in (i * n + edges[j][0], i * n + edges[j][1],
-                    j * n + edges[i][0], j * n + edges[i][1]):
-            count = counts[key] = counts.get(key, 0) + 1
-            if count == k:
+        s = i + j
+        (a, b), (u, v) = edges[i], edges[j]
+        for key in (i * n + u, i * n + v, j * n + a, j * n + b):
+            crossed = get(key)
+            if crossed is None:
+                buckets[key] = s
+                continue
+            crosser = key // n
+            if crossed.__class__ is int:
+                crossed = buckets[key] = [crossed - crosser]
+            crossed.append(s - crosser)
+            if len(crossed) == k:
                 hot.append(key)
-    # not c.adjacency: a copy cached on the caller's relation would outlive
-    # this call
-    crossed = crossing_lists(c.pairs) if hot else {}
+    # tuple.__new__ builds each FanWitness without the generated __new__,
+    # a Python call that is about a third of the cost of a witness
+    new = tuple.__new__
     witnesses = []
     for key in sorted(hot):
         crosser, apex = divmod(key, n)
         assert apex not in edges[crosser], "crosser incident to its own apex"
-        fan = tuple(e for e in crossed[crosser] if apex in edges[e])[:k]
-        witnesses.append(FanWitness(crosser, apex, fan))
+        crossed = buckets[key]
+        crossed.sort()
+        witnesses.append(new(FanWitness, (crosser, apex, tuple(crossed[:k]))))
     return witnesses
 
 

@@ -30,16 +30,19 @@ class Graph:
 
     Edges are stored canonically as (min, max) pairs in input order; the
     position of a pair is its stable edge index.  Isolated vertices are
-    allowed.  On construction, the first edge with an endpoint that is not
-    an int (a bool included) raises TypeError, and the first with an
-    endpoint outside [0, n) ValueError; self-loops and duplicate edges are
-    representable, and ``validate_graph`` reports them.
+    allowed.  On construction, an ``n`` that is not an int (a bool
+    included) raises TypeError, as does the first edge with such an
+    endpoint, and the first edge with an endpoint outside [0, n)
+    ValueError; self-loops and duplicate edges are representable, and
+    ``validate_graph`` reports them.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise TypeError(f"n = {self.n!r} must be an int")
         flat = list(chain.from_iterable(self.edges))
         if not set(map(type, flat)) <= {int} or (flat and (min(flat) < 0 or max(flat) >= self.n)):
             for i, (u, v) in enumerate(self.edges):
@@ -287,9 +290,17 @@ def from_json_dict(data) -> Graph | Drawing:
             raise InputError(f"the document has no {key!r}")
     if type(data["n"]) is not int:
         raise InputError(f"n must be an integer, got {data['n']!r}")
+    edges = data["edges"]
     try:
-        g = Graph(data["n"], _int_rows(data["edges"], "edges", 2))
-    except ValueError as exc:  # a vertex outside [0, n)
+        # the shape is tested here and the entries by Graph, so the table
+        # has one int test
+        if not (isinstance(edges, list) and set(map(type, edges)) <= {list}):
+            raise TypeError("edges must be a list of lists")
+        g = Graph(data["n"], edges)
+    except (TypeError, ValueError) as exc:
+        # a row that is not a list of two integers is named first, then a
+        # vertex outside [0, n)
+        _int_rows(edges, "edges", 2)
         raise InputError(str(exc)) from None
     if problem := validate_graph(g):
         raise InputError(problem)

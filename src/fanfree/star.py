@@ -31,6 +31,8 @@ class StarConfig:
     arrows: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
+        if type(self.m) is not int:
+            raise TypeError(f"m = {self.m!r} must be an int")
         arrows = tuple((s, e, t) for s, e, t in self.arrows)
         if not set(map(type, chain.from_iterable(arrows))) <= {int}:
             idx = next(i for i, a in enumerate(arrows) if set(map(type, a)) != {int})

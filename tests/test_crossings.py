@@ -149,8 +149,9 @@ def _bucket_fans(g, c, k):
 
 def test_find_k_fans_lists_the_bucket_witnesses_in_order():
     """The whole witness list, in order and with each fan, equals the bucket
-    detector's on seeded random drawings, on seeded stars and on the
-    generated families, for k = 2..4."""
+    detector's on seeded random drawings, on seeded stars, on the generated
+    families, on dense small drawings and on one edge crossing five edges
+    at one apex, for k = 2..4."""
     from fanfree.constructions import (
         gen_grid,
         gen_kq_subdivision,
@@ -165,6 +166,33 @@ def test_find_k_fans_lists_the_bucket_witnesses_in_order():
                  for m in range(3, 10) for _ in range(6)]
     drawings += [gen_straight_extremal(20), gen_kq_subdivision(6), gen_tri_plus_dual(4, 5)]
     drawings += [gen_grid(5, k) for k in range(3, 8)]
+    # dense drawings like the benchmark's small checks: 20 edges among at
+    # most 12 points of the grid [-4, 4]^2
+    grid = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+    dense = []
+    while len(dense) < 6:
+        n = rng.randint(8, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        d = StraightLineDrawing(Graph(n, tuple(rng.sample(pairs, 20))), tuple(rng.sample(grid, n)))
+        if validate_simplicity(d).ok:
+            dense.append(d)
+    # edge (6, 7) crosses the five spokes at apex 0, placed at each position
+    # of the edge order: the bucket of (crosser, 0) grows past k for
+    # k = 2..4 and holds exactly k at k = 5
+    spokes = [(0, v) for v in range(1, 6)]
+    pts = ((0, 10), (-4, 0), (-2, 0), (0, 0), (2, 0), (4, 0), (-10, 5), (10, 5))
+    spread = []
+    for pos in range(6):
+        rng.shuffle(spokes)
+        edges = (*spokes[:pos], (6, 7), *spokes[pos:])
+        spread.append(StraightLineDrawing(Graph(8, edges), pts))
+    for d in spread:
+        crosser = d.graph.edges.index((6, 7))
+        lowest = tuple(e for e in range(6) if e != crosser)
+        for k in (2, 3, 4, 5):
+            assert find_k_fans(d.graph, d.crossings, k) == [FanWitness(crosser, 0, lowest[:k])]
+        assert find_k_fans(d.graph, d.crossings, 6) == []
+    drawings += dense + spread
     found = Counter()
     for d in drawings:
         for k in (2, 3, 4):

@@ -48,7 +48,7 @@ def test_out_of_range_rejected():
 
 def test_entries_that_are_not_ints_raise_type_error():
     # no value is converted with int(): a float, a bool or a string is named
-    # in the error, not rounded, truncated or parsed into a vertex
+    # in the error, not rounded, truncated or parsed into a vertex or a count
     from fanfree.star import StarConfig
 
     for make, message in (
@@ -58,6 +58,9 @@ def test_entries_that_are_not_ints_raise_type_error():
         (lambda: CrossingRelation(frozenset({(0.9, 2.2)})), "crossing pair (0.9, 2.2)"),
         (lambda: CrossingRelation([[0, 1], [1, False]]), "crossing pair (1, False)"),
         (lambda: StarConfig(4, ((0, 2.9, 0),)), "arrow 0 = (0, 2.9, 0)"),
+        (lambda: Graph(3.5, ((0, 3),)), "n = 3.5"),
+        (lambda: Graph(True, ()), "n = True"),
+        (lambda: StarConfig(4.0, ((0, 2, 0),)), "m = 4.0"),
     ):
         with pytest.raises(TypeError, match=re.escape(message)):
             make()
