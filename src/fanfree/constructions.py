@@ -71,6 +71,17 @@ def is_bipartite(n: int, edges) -> bool:
     return True
 
 
+def _with_diagonals(q_edges, faces):
+    """The edges of both extremal families: ``q_edges``, then the diagonals
+    (p, r) and (q, s) of each quadrilateral face (p, q, r, s) in face order;
+    and the designed crossings, one index pair per face, its two diagonals."""
+    m = len(q_edges)
+    edges = list(q_edges)
+    for p, q, r, s in faces:
+        edges += ((p, r), (q, s))
+    return edges, frozenset((m + 2 * i, m + 2 * i + 1) for i in range(len(faces)))
+
+
 # ---------------------------------------------------------------------------
 # Quadrangulation-plus-diagonals family (4n-8 edges, combinatorial output)
 
@@ -131,20 +142,13 @@ def gen_quad_extremal(n: int) -> AbstractDrawing:
     a quadrilateral-faced skeleton plus both diagonals of every face, drawn
     so that the only crossings are the diagonal pairs inside each face."""
     q_edges, faces = quad_extremal_parts(n)
-    edges = list(q_edges)
-    pairs = set()
-    for p, q, r, s in faces:
-        i1 = len(edges)
-        edges.append((p, r))
-        i2 = len(edges)
-        edges.append((q, s))
-        pairs.add((i1, i2))
+    edges, pairs = _with_diagonals(q_edges, faces)
     _check(len(edges) == 4 * n - 8, f"quad-extremal n={n} edge count")
     _check(len(faces) == n - 2, f"quad-extremal n={n} face count")
     _check(len(q_edges) == 2 * n - 4, f"quad-extremal n={n} skeleton size")
     _check(is_bipartite(n, q_edges), f"quad-extremal n={n} skeleton not bipartite")
     d = AbstractDrawing(
-        Graph(n, tuple(edges)), CrossingRelation(frozenset(pairs)),
+        Graph(n, tuple(edges)), CrossingRelation(pairs),
         provenance=f"quad-extremal(n={n})",
     )
     return _verified(d, 2, f"quad-extremal n={n}")
@@ -215,17 +219,10 @@ def gen_straight_extremal(n: int) -> StraightLineDrawing:
     (n >= 6): nested triangles whose annuli are strictly convex
     quadrilaterals, both diagonals added to every quadrilateral face."""
     points, q_edges, quads = _straight_parts(n)
-    edges = list(q_edges)
-    expected_pairs = set()
-    for p, q, r, s in quads:
-        i1 = len(edges)
-        edges.append((p, r))
-        i2 = len(edges)
-        edges.append((q, s))
-        expected_pairs.add((i1, i2))
+    edges, pairs = _with_diagonals(q_edges, quads)
     _check(len(edges) == 4 * n - 9, f"straight-extremal n={n} edge count")
     d = StraightLineDrawing(Graph(n, tuple(edges)), tuple(points))
-    return _verified(d, 2, f"straight-extremal n={n}", expected_pairs)
+    return _verified(d, 2, f"straight-extremal n={n}", pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -258,26 +255,28 @@ def grid_stencil(k: int) -> list[tuple[int, int]]:
         reach += 1
 
 
+def _stencil_grid(rows: int, cols: int, stencil):
+    """The rows x cols integer grid, vertex y * cols + x at (x, y), and the
+    edge from every vertex along each stencil vector that stays in the
+    grid, in (vertex, stencil) order."""
+    points = tuple((x, y) for y in range(rows) for x in range(cols))
+    edges = [
+        (y * cols + x, (y + dy) * cols + x + dx)
+        for y in range(rows)
+        for x in range(cols)
+        for dx, dy in stencil
+        if 0 <= x + dx < cols and 0 <= y + dy < rows
+    ]
+    return points, edges
+
+
 def gen_grid(side: int, k: int) -> StraightLineDrawing:
     """side x side integer grid, every vertex joined to its stencil
     neighbors; verified k-fan-crossing free."""
     if side < 4:
         raise ValueError(f"side must be >= 4, got {side}")
-    stencil = grid_stencil(k)
-    n = side * side
-    points = tuple((x, y) for y in range(side) for x in range(side))
-
-    def vid(x, y):
-        return y * side + x
-
-    edges = []
-    for y in range(side):
-        for x in range(side):
-            for dx, dy in stencil:
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < side and 0 <= ny < side:
-                    edges.append((vid(x, y), vid(nx, ny)))
-    d = StraightLineDrawing(Graph(n, tuple(edges)), points)
+    points, edges = _stencil_grid(side, side, grid_stencil(k))
+    d = StraightLineDrawing(Graph(side * side, tuple(edges)), points)
     return _verified(d, k, f"grid side={side} k={k}")
 
 
@@ -324,37 +323,15 @@ def gen_kq_subdivision(q: int) -> StraightLineDrawing:
 
 def gen_tri_plus_dual(rows: int, cols: int) -> StraightLineDrawing:
     """Grid-strip triangulation plus, for every pair of adjacent triangles,
-    the edge joining their two unshared vertices; verified 4-fan-free."""
+    the edge joining their two unshared vertices; verified 4-fan-free.  It
+    is the stencil grid along ``grid_stencil(7)``: the triangulation is
+    (1, 0), (0, 1), (1, 1), and the duals across a cell diagonal, an
+    interior vertical and an interior horizontal edge are (-1, 1), (2, 1),
+    (1, 2)."""
     if rows < 3 or cols < 3:
         raise ValueError("rows and cols must be >= 3")
     n = rows * cols
-    points = tuple((x, y) for y in range(rows) for x in range(cols))
-
-    def vid(x, y):
-        return y * cols + x
-
-    edge_set = set()
-
-    def add(a, b):
-        edge_set.add((a, b) if a < b else (b, a))
-
-    for y in range(rows):
-        for x in range(cols):
-            if x + 1 < cols:
-                add(vid(x, y), vid(x + 1, y))
-            if y + 1 < rows:
-                add(vid(x, y), vid(x, y + 1))
-            if x + 1 < cols and y + 1 < rows:
-                add(vid(x, y), vid(x + 1, y + 1))
-    # duals: across each cell diagonal, each interior vertical, each
-    # interior horizontal edge
-    for y in range(rows - 1):
-        for x in range(cols - 1):
-            add(vid(x + 1, y), vid(x, y + 1))
-            if x + 2 < cols:
-                add(vid(x, y), vid(x + 2, y + 1))
-            if y + 2 < rows:
-                add(vid(x, y), vid(x + 1, y + 2))
-    edges = tuple(sorted(edge_set))
+    points, edges = _stencil_grid(rows, cols, grid_stencil(7))
+    edges = tuple(sorted(edges))
     _check(len(edges) <= 6 * n - 12, "tri-plus-dual exceeds 6n-12 edges")
     return _verified(StraightLineDrawing(Graph(n, edges), points), 4, "tri-plus-dual")

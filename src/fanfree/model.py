@@ -11,6 +11,7 @@ a float.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -24,6 +25,16 @@ SCHEMA_VERSION = 1
 Coord = tuple[Fraction, Fraction]
 
 
+def name_bad_row(rows, width: int, message: str) -> None:
+    """TypeError with ``message`` formatted with the index and the value (a
+    tuple if it is iterable) of the first of ``rows`` that is not ``width``
+    ints (a bool is not one).  The value types call it when a row fails."""
+    for i, row in enumerate(rows):
+        row = tuple(row) if isinstance(row, Iterable) else row
+        if type(row) is not tuple or len(row) != width or set(map(type, row)) != {int}:
+            raise TypeError(message.format(i, row))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Abstract graph on vertices 0..n-1 with indexed edges.
@@ -31,9 +42,9 @@ class Graph:
     Edges are stored canonically as (min, max) pairs in input order; the
     position of a pair is its stable edge index.  Isolated vertices are
     allowed.  On construction, an ``n`` that is not an int (a bool
-    included) raises TypeError, as does the first edge with such an
-    endpoint, and the first edge with an endpoint outside [0, n)
-    ValueError; self-loops and duplicate edges are representable, and
+    included) raises TypeError, as does the first edge that is not a pair
+    of ints; with none, the first edge with an endpoint outside [0, n)
+    raises ValueError; self-loops and duplicate edges are representable, and
     ``validate_graph`` reports them.
     """
 
@@ -43,15 +54,17 @@ class Graph:
     def __post_init__(self):
         if type(self.n) is not int:
             raise TypeError(f"n = {self.n!r} must be an int")
-        flat = list(chain.from_iterable(self.edges))
-        if not set(map(type, flat)) <= {int} or (flat and (min(flat) < 0 or max(flat) >= self.n)):
-            for i, (u, v) in enumerate(self.edges):
-                if type(u) is not int or type(v) is not int:
-                    raise TypeError(f"edge {i} = {(u, v)!r} must be a pair of ints")
-                if min(u, v) < 0 or max(u, v) >= self.n:
-                    raise ValueError(f"edge {i} = ({min(u, v)}, {max(u, v)}) "
-                                     f"has a vertex outside [0, {self.n})")
-        canon = tuple((u, v) if u <= v else (v, u) for u, v in self.edges)
+        try:
+            flat = list(chain.from_iterable(self.edges))
+            ok = set(map(type, flat)) <= {int} and not (
+                flat and (min(flat) < 0 or max(flat) >= self.n))
+            canon = tuple((u, v) if u <= v else (v, u) for u, v in self.edges)
+        except (TypeError, ValueError):  # a row that is not an iterable of two
+            ok = False
+        if not ok:
+            name_bad_row(self.edges, 2, "edge {} = {!r} must be a pair of ints")
+            i, (u, v) = next((i, e) for i, e in enumerate(canon) if e[0] < 0 or e[1] >= self.n)
+            raise ValueError(f"edge {i} = ({u}, {v}) has a vertex outside [0, {self.n})")
         object.__setattr__(self, "edges", canon)
 
     def incident_edges(self) -> list[list[int]]:
@@ -83,16 +96,19 @@ def validate_graph(g: Graph) -> str | None:
 @dataclass(frozen=True)
 class CrossingRelation:
     """Symmetric set of crossing edge-index pairs, stored as (min, max).
-    A pair with an entry that is not an int (a bool included) raises
-    TypeError on construction."""
+    A pair that is not two ints (a bool is not one) raises TypeError on
+    construction."""
 
     pairs: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
-        if not set(map(type, chain.from_iterable(self.pairs))) <= {int}:
-            bad = next(p for p in self.pairs if set(map(type, p)) != {int})
-            raise TypeError(f"crossing pair {tuple(bad)!r} must be a pair of ints")
-        canon = frozenset((i, j) if i <= j else (j, i) for i, j in self.pairs)
+        try:
+            ok = set(map(type, chain.from_iterable(self.pairs))) <= {int}
+            canon = frozenset((i, j) if i <= j else (j, i) for i, j in self.pairs)
+        except (TypeError, ValueError):  # a pair that is not an iterable of two
+            ok = False
+        if not ok:
+            name_bad_row(self.pairs, 2, "crossing pair {1!r} must be a pair of ints")
         object.__setattr__(self, "pairs", canon)
 
     def crosses(self, i: int, j: int) -> bool:
@@ -273,6 +289,19 @@ def _int_rows(value, what: str, width: int) -> list:
     return value
 
 
+def _pair_table(build, rows, what: str):
+    """``build(rows)`` for a table of integer pairs, its shape tested here
+    and its entries by ``build`` alone.  On a failure the first row that is
+    not two integers is named, else ``build``'s error is the InputError."""
+    try:
+        if not (isinstance(rows, list) and set(map(type, rows)) <= {list}):
+            raise TypeError(f"{what} must be a list of lists")
+        return build(rows)
+    except (TypeError, ValueError) as exc:
+        _int_rows(rows, what, 2)
+        raise InputError(str(exc)) from None
+
+
 def from_json_dict(data) -> Graph | Drawing:
     """Inverse of ``to_json_dict``.  Raises InputError for a malformed
     document: not an object, no integer ``n`` or no ``edges``, a row that is
@@ -290,18 +319,7 @@ def from_json_dict(data) -> Graph | Drawing:
             raise InputError(f"the document has no {key!r}")
     if type(data["n"]) is not int:
         raise InputError(f"n must be an integer, got {data['n']!r}")
-    edges = data["edges"]
-    try:
-        # the shape is tested here and the entries by Graph, so the table
-        # has one int test
-        if not (isinstance(edges, list) and set(map(type, edges)) <= {list}):
-            raise TypeError("edges must be a list of lists")
-        g = Graph(data["n"], edges)
-    except (TypeError, ValueError) as exc:
-        # a row that is not a list of two integers is named first, then a
-        # vertex outside [0, n)
-        _int_rows(edges, "edges", 2)
-        raise InputError(str(exc)) from None
+    g = _pair_table(lambda edges: Graph(data["n"], edges), data["edges"], "edges")
     if problem := validate_graph(g):
         raise InputError(problem)
     if data.get("coords") is not None:
@@ -321,7 +339,7 @@ def from_json_dict(data) -> Graph | Drawing:
         ys = map(mul, yn, map(floordiv, repeat(den), yd))
         return StraightLineDrawing(g, tuple(zip(xs, ys)), den)
     if data.get("crossings") is not None:
-        rel = CrossingRelation(_int_rows(data["crossings"], "crossings", 2))
+        rel = _pair_table(CrossingRelation, data["crossings"], "crossings")
         if problem := validate_crossings(g, rel):
             raise InputError(problem)
         provenance = data.get("provenance", "external")

@@ -305,9 +305,10 @@ def _quad_skeleton_problem(n: int) -> str | None:
         return f"quad n={n}: greedy H has {len(h)} edges, not 3n-6"
     h, excluded = set(h), set(excluded)
     triangles = set()
-    for i, (p, q, r, s) in enumerate(_con.quad_extremal_parts(n)[1]):
-        first = 2 * n - 4 + 2 * i
-        if first not in h or first + 1 not in excluded:
+    # sorted, the designed pairs are each face's two diagonals in face order
+    diagonals = zip(_con.quad_extremal_parts(n)[1], sorted(d.crossings.pairs), strict=True)
+    for i, ((p, q, r, s), (first, second)) in enumerate(diagonals):
+        if first not in h or second not in excluded:
             return f"quad n={n}: face {i} diagonals not split between H and arrows"
         triangles |= {tuple(sorted(t)) for t in ((p, q, r), (p, r, s))}
     if len(triangles) != 2 * n - 4:

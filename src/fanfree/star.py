@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .model import AbstractDrawing, CrossingRelation, Graph, StraightLineDrawing
+from .model import AbstractDrawing, CrossingRelation, Graph, StraightLineDrawing, name_bad_row
 from . import crossings as _cr
 
 
@@ -33,10 +33,13 @@ class StarConfig:
     def __post_init__(self):
         if type(self.m) is not int:
             raise TypeError(f"m = {self.m!r} must be an int")
-        arrows = tuple((s, e, t) for s, e, t in self.arrows)
-        if not set(map(type, chain.from_iterable(arrows))) <= {int}:
-            idx = next(i for i, a in enumerate(arrows) if set(map(type, a)) != {int})
-            raise TypeError(f"arrow {idx} = {arrows[idx]!r} must be three ints")
+        try:
+            arrows = tuple((s, e, t) for s, e, t in self.arrows)
+            ok = set(map(type, chain.from_iterable(arrows))) <= {int}
+        except (TypeError, ValueError):  # an arrow that is not an iterable of three
+            ok = False
+        if not ok:
+            name_bad_row(self.arrows, 3, "arrow {} = {!r} must be three ints")
         object.__setattr__(self, "arrows", arrows)
 
 
@@ -198,7 +201,7 @@ def bound_b(h: int, lam: int, nu: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Transforms and helpers used by tests and the search
+# Symmetry transforms for the tests, and the geometric realization of a star
 
 def rotate_star(s: StarConfig, r: int) -> StarConfig:
     arrows = tuple(((a + r) % s.m, (e + r) % s.m, t) for a, e, t in s.arrows)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 from math import gcd
 
 import pytest
@@ -96,6 +97,33 @@ def test_generators_are_deterministic():
     assert dumps(gen_straight_extremal(11)) == dumps(gen_straight_extremal(11))
     assert dumps(gen_kq_subdivision(6)) == dumps(gen_kq_subdivision(6))
     assert dumps(gen_grid(5, 4)) == dumps(gen_grid(5, 4))
+
+
+# sha256 of dumps() per family, first 16 hex digits: the generators'
+# points, edge order and crossing pairs, byte for byte
+GENERATOR_DIGESTS = [
+    (gen_quad_extremal, (8,), "a658ed1e30a8c9d9"),
+    (gen_quad_extremal, (11,), "7e083f1b2d392644"),
+    (gen_quad_extremal, (30,), "4e806cdf9b35e99b"),
+    (gen_straight_extremal, (6,), "c480e59b632e9daf"),
+    (gen_straight_extremal, (13,), "f867c8b6a4fead86"),
+    (gen_straight_extremal, (41,), "97031006ee5159ba"),
+    (gen_grid, (8, 5), "896b66d37d810cbe"),
+    (gen_grid, (12, 5), "5ef0518c8d883406"),
+    (gen_grid, (5, 7), "ea70c392c0ff5686"),
+    (gen_tri_plus_dual, (3, 3), "62491f81e4164dad"),
+    (gen_tri_plus_dual, (5, 6), "8ba07373ac4aa983"),
+    (gen_tri_plus_dual, (7, 4), "7d3c08b1365f6d36"),
+    (gen_kq_subdivision, (6,), "7922604b2a90eb84"),
+]
+
+
+def test_generator_outputs_are_pinned():
+    got = [
+        (gen.__name__, args, hashlib.sha256(dumps(gen(*args)).encode()).hexdigest()[:16])
+        for gen, args, _ in GENERATOR_DIGESTS
+    ]
+    assert got == [(gen.__name__, args, want) for gen, args, want in GENERATOR_DIGESTS]
 
 
 def test_grid_stencil_shortest_vectors():

@@ -61,6 +61,11 @@ def test_entries_that_are_not_ints_raise_type_error():
         (lambda: Graph(3.5, ((0, 3),)), "n = 3.5"),
         (lambda: Graph(True, ()), "n = True"),
         (lambda: StarConfig(4.0, ((0, 2, 0),)), "m = 4.0"),
+        # a row of the wrong width, or no row at all, is named too
+        (lambda: Graph(3, ((0, 1, 2),)), "edge 0 = (0, 1, 2)"),
+        (lambda: CrossingRelation([[0, 1, 2]]), "crossing pair (0, 1, 2)"),
+        (lambda: StarConfig(4, ((0, 2),)), "arrow 0 = (0, 2)"),
+        (lambda: Graph(3, (5,)), "edge 0 = 5"),
     ):
         with pytest.raises(TypeError, match=re.escape(message)):
             make()
