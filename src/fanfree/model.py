@@ -25,6 +25,13 @@ SCHEMA_VERSION = 1
 Coord = tuple[Fraction, Fraction]
 
 
+def rereadable(rows):
+    """``rows`` itself if it is a list, a tuple or a set, which can be read
+    again, else a tuple of its rows, read once; the value types read their
+    rows through it, so that a generator or an iterator loses none."""
+    return rows if isinstance(rows, (list, tuple, frozenset, set)) else tuple(rows)
+
+
 def name_bad_row(rows, width: int, message: str) -> None:
     """TypeError with ``message`` formatted with the index and the value (a
     tuple if it is iterable) of the first of ``rows`` that is not ``width``
@@ -54,15 +61,16 @@ class Graph:
     def __post_init__(self):
         if type(self.n) is not int:
             raise TypeError(f"n = {self.n!r} must be an int")
+        edges = rereadable(self.edges)
         try:
-            flat = list(chain.from_iterable(self.edges))
+            flat = list(chain.from_iterable(edges))
             ok = set(map(type, flat)) <= {int} and not (
                 flat and (min(flat) < 0 or max(flat) >= self.n))
-            canon = tuple((u, v) if u <= v else (v, u) for u, v in self.edges)
+            canon = tuple((u, v) if u <= v else (v, u) for u, v in edges)
         except (TypeError, ValueError):  # a row that is not an iterable of two
             ok = False
         if not ok:
-            name_bad_row(self.edges, 2, "edge {} = {!r} must be a pair of ints")
+            name_bad_row(edges, 2, "edge {} = {!r} must be a pair of ints")
             i, (u, v) = next((i, e) for i, e in enumerate(canon) if e[0] < 0 or e[1] >= self.n)
             raise ValueError(f"edge {i} = ({u}, {v}) has a vertex outside [0, {self.n})")
         object.__setattr__(self, "edges", canon)
@@ -102,13 +110,14 @@ class CrossingRelation:
     pairs: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
+        pairs = rereadable(self.pairs)
         try:
-            ok = set(map(type, chain.from_iterable(self.pairs))) <= {int}
-            canon = frozenset((i, j) if i <= j else (j, i) for i, j in self.pairs)
+            ok = set(map(type, chain.from_iterable(pairs))) <= {int}
+            canon = frozenset((i, j) if i <= j else (j, i) for i, j in pairs)
         except (TypeError, ValueError):  # a pair that is not an iterable of two
             ok = False
         if not ok:
-            name_bad_row(self.pairs, 2, "crossing pair {1!r} must be a pair of ints")
+            name_bad_row(pairs, 2, "crossing pair {1!r} must be a pair of ints")
         object.__setattr__(self, "pairs", canon)
 
     def crosses(self, i: int, j: int) -> bool:

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .model import AbstractDrawing, CrossingRelation, Graph, StraightLineDrawing, name_bad_row
+from .model import (
+    AbstractDrawing,
+    CrossingRelation,
+    Graph,
+    StraightLineDrawing,
+    name_bad_row,
+    rereadable,
+)
 from . import crossings as _cr
 
 
@@ -33,13 +40,14 @@ class StarConfig:
     def __post_init__(self):
         if type(self.m) is not int:
             raise TypeError(f"m = {self.m!r} must be an int")
+        rows = rereadable(self.arrows)
         try:
-            arrows = tuple((s, e, t) for s, e, t in self.arrows)
+            arrows = tuple((s, e, t) for s, e, t in rows)
             ok = set(map(type, chain.from_iterable(arrows))) <= {int}
         except (TypeError, ValueError):  # an arrow that is not an iterable of three
             ok = False
         if not ok:
-            name_bad_row(self.arrows, 3, "arrow {} = {!r} must be three ints")
+            name_bad_row(rows, 3, "arrow {} = {!r} must be three ints")
         object.__setattr__(self, "arrows", arrows)
 
 
@@ -394,7 +402,8 @@ def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
       edge touches v_v, is at least k.  Each node gets its own list as an
       argument; a child's is a copy with the new arrow's changes.
     - ``slack[a][v]``: the crossers from v_v that arrow a can still take
-      before it joins ``sat[v]``, which it does when this reaches 0.
+      before it joins ``sat[v]``, which it does when this reaches 0 (kept
+      at k >= 3 only; see below).
     - ``edge_pts[e]``: the arrows on e_e in slot order.
 
     ``table[idx]`` holds what a push of pair idx = (s, e) needs: the ``cut``
@@ -403,6 +412,18 @@ def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
     The push and the pop run in the branch loop: the masks, ``cut`` and the
     stack change once per pair, the slot list, the slack rows and the
     child's ``sat`` once per gap.
+
+    At k = 2 the push keeps no slack rows, and is exact without them.  An
+    arrow's limit from v_v is k - 1 - [its exit edge touches v_v], at most
+    1, so a fresh row is 0 at the ends of e_e and 1 elsewhere: the new
+    arrow joins ``sat`` of both ends at once (``tight``).  A gap that fits
+    crosses no arrow of ``sat[s]`` and at most one arrow from each v_v,
+    none from the ends of e_e.  So for each crosser b, from v_v, b's row
+    at v_s (1, as b is not in ``sat[s]``) and the new arrow's row at v_v
+    (1, as v_v is not an end of e_e) both go to 0: b joins ``sat[s]`` and
+    the new arrow joins ``sat[v]``.  The child is ``sat`` with the ends'
+    bits set, ``child[s] |= mask`` and one OR per crosser, and there is
+    nothing to undo.  The regime is chosen once per branch pair.
 
     A new arrow from v_s ending in gap g of e_e crosses the arrows not from
     v_s with exactly one end on the open arc from v_s to its endpoint: those
@@ -528,40 +549,59 @@ def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
             exit_mask[e] |= bit
             for v in arc:
                 cut[v] ^= bit
-            for gap, mask in gaps:
-                # push: the new arrow's slack row and the child's sat
-                row = fresh[:]
-                child = sat[:]
-                for v in tight:
-                    child[v] |= bit
-                sat_s = child[s]
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    b = low.bit_length() - 1
-                    v = starts[b]
-                    row[v] -= 1
-                    if not row[v]:
+            if k == 2:
+                for gap, mask in gaps:
+                    # push: the child's sat, every crossing saturating both
+                    # arrows; no slack rows at k = 2
+                    child = sat[:]
+                    for v in tight:
                         child[v] |= bit
-                    other = slack[b]
-                    other[s] -= 1
-                    if not other[s]:
-                        sat_s |= low
-                child[s] = sat_s
-                pts.insert(gap, count)
-                slack.append(row)
-                if grown > best or (grown == best and len(witnesses) < MAX_WITNESSES):
-                    record()
-                dfs(idx, npairs, cap - 1, child)
-                # pop
-                del pts[gap]
-                slack.pop()
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    slack[low.bit_length() - 1][s] += 1
+                    child[s] |= mask
+                    rest = mask
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        child[starts[low.bit_length() - 1]] |= bit
+                    pts.insert(gap, count)
+                    if grown > best or (grown == best and len(witnesses) < MAX_WITNESSES):
+                        record()
+                    dfs(idx, npairs, cap - 1, child)
+                    del pts[gap]
+            else:
+                for gap, mask in gaps:
+                    # push: the new arrow's slack row and the child's sat
+                    row = fresh[:]
+                    child = sat[:]
+                    for v in tight:
+                        child[v] |= bit
+                    sat_s = child[s]
+                    rest = mask
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        b = low.bit_length() - 1
+                        v = starts[b]
+                        row[v] -= 1
+                        if not row[v]:
+                            child[v] |= bit
+                        other = slack[b]
+                        other[s] -= 1
+                        if not other[s]:
+                            sat_s |= low
+                    child[s] = sat_s
+                    pts.insert(gap, count)
+                    slack.append(row)
+                    if grown > best or (grown == best and len(witnesses) < MAX_WITNESSES):
+                        record()
+                    dfs(idx, npairs, cap - 1, child)
+                    # pop
+                    del pts[gap]
+                    slack.pop()
+                    rest = mask
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        slack[low.bit_length() - 1][s] += 1
             starts.pop()
             start_mask[s] ^= bit
             exit_mask[e] ^= bit
@@ -601,10 +641,11 @@ def max_arrows(
 
     ``long_only`` restricts to configurations of long arrows only;
     ``vertex_class`` restricts to configurations whose derived
-    (heavy, light, void) counts equal the given triple.  The maximum is
-    None when no configuration satisfies the filter.  Exceeding ``budget``
-    search nodes (at least 1, else ValueError) raises InconclusiveError
-    rather than returning anything.
+    (heavy, light, void) counts equal the given three ints, in any
+    iterable, which must be at least 0 and sum to m (else ValueError).  The
+    maximum is None when no configuration satisfies the filter.  Exceeding
+    ``budget`` search nodes (at least 1, else ValueError) raises
+    InconclusiveError rather than returning anything.
     """
     if m < 3:
         raise ValueError(f"m must be >= 3, got {m}")
@@ -615,8 +656,15 @@ def max_arrows(
     if vertex_class is not None:
         if long_only:
             raise ValueError("choose one filter: long_only or vertex_class")
-        if sum(vertex_class) != m or min(vertex_class) < 0:
-            raise ValueError(f"class counts {vertex_class} do not partition m={m}")
+        try:
+            counts = tuple(vertex_class)
+        except TypeError:  # not iterable
+            counts = ()
+        if (len(counts) != 3 or set(map(type, counts)) != {int}
+                or sum(counts) != m or min(counts) < 0):
+            raise ValueError(
+                f"class counts {vertex_class!r} are not three ints >= 0 that partition m={m}")
+        vertex_class = counts
     pairs = legal_pairs(m, long_only)
     first_limit = sum(1 for s, _e in pairs if s == 0)
     return _search(m, k, pairs, vertex_class, budget, first_limit)

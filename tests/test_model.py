@@ -66,6 +66,9 @@ def test_entries_that_are_not_ints_raise_type_error():
         (lambda: CrossingRelation([[0, 1, 2]]), "crossing pair (0, 1, 2)"),
         (lambda: StarConfig(4, ((0, 2),)), "arrow 0 = (0, 2)"),
         (lambda: Graph(3, (5,)), "edge 0 = 5"),
+        # an iterator is read once, so its bad row is still named
+        (lambda: Graph(3, iter([(0, 1.5)])), "edge 0 = (0, 1.5)"),
+        (lambda: StarConfig(4, iter([(0, 2, 0), (0, 2.5, 0)])), "arrow 1 = (0, 2.5, 0)"),
     ):
         with pytest.raises(TypeError, match=re.escape(message)):
             make()
@@ -73,6 +76,10 @@ def test_entries_that_are_not_ints_raise_type_error():
     assert Graph(3, [[1, 0]]).edges == ((0, 1),)
     assert CrossingRelation([[2, 1]]).pairs == {(1, 2)}
     assert StarConfig(4, [[0, 2, 0]]).arrows == ((0, 2, 0),)
+    # and a generator loses no row
+    assert Graph(3, (e for e in [(0, 1), (1, 2)])).edges == ((0, 1), (1, 2))
+    assert CrossingRelation(p for p in [(0, 1)]).pairs == {(0, 1)}
+    assert StarConfig(4, (a for a in [(0, 2, 0)])).arrows == ((0, 2, 0),)
 
 
 def test_edge_count_k6():

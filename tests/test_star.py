@@ -267,6 +267,9 @@ BUDGET_STOPS = {
     (5, 3, None, 500): (501, 10, INCUMBENT_5_3),
     (4, 3, (2, 0, 2), 40): (41, None, None),
     (4, 3, (2, 0, 2), 200): (201, 4, ((0, 1, 0), (0, 2, 0), (2, 0, 0), (2, 3, 0))),
+    (7, 2, None, 1000): (1001, 8, ((0, 1, 0), (0, 2, 0), (4, 1, 3), (4, 2, 3),
+                                   (5, 1, 2), (5, 2, 2), (6, 1, 1), (6, 2, 1))),
+    (6, 2, (4, 1, 1), 300): (301, 4, ((0, 1, 3), (3, 1, 2), (4, 1, 1), (5, 1, 0))),
 }
 
 
@@ -446,6 +449,12 @@ def test_search_mask_rule_matches_star_drawing():
 def test_max_arrows_rejects_bad_class():
     with pytest.raises(ValueError):
         max_arrows(4, 3, vertex_class=(2, 1, 0))
+    # a class is three ints that partition m, in any iterable
+    for bad in ((3, 0), (1, 1, 1, 0), (1.0, 1, 1), (True, 1, 1), (4, -1, 0), 3):
+        with pytest.raises(ValueError, match="are not three ints"):
+            max_arrows(3, 3, vertex_class=bad)
+    assert max_arrows(4, 2, vertex_class=[2, 1, 1]).maximum == 2
+    assert max_arrows(4, 2, vertex_class=iter((2, 1, 1))).maximum == 2
 
 
 def test_max_arrows_rejects_bad_arguments():
@@ -512,6 +521,14 @@ def test_brute_force_enumeration_confirms_search_class_table():
         assert res.maximum == brute, (h, lam, nu)
     assert (2, 1, 0) not in table4
     assert table4[(3, 1, 0)] == 5 and table4[(2, 1, 1)] == 5
+    # at k = 2 (the search's push without slack rows) the two agree on every
+    # class, and a class no fan-free star has is None in both
+    for m in (3, 4, 5):
+        table = brute_class_table(m, 2)
+        for h in range(m + 1):
+            for lam in range(m + 1 - h):
+                cls = (h, lam, m - h - lam)
+                assert max_arrows(m, 2, vertex_class=cls).maximum == table.get(cls), cls
 
 
 # -- invariants and properties ------------------------------------------------
