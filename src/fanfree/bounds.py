@@ -7,13 +7,15 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .model import SCHEMA_VERSION, AbstractDrawing, Graph, StraightLineDrawing
+from .model import SCHEMA_VERSION, AbstractDrawing, Graph, StraightLineDrawing, check_ints
 from .crossings import find_k_fans
 
 
 def upper_bound(n: int, k: int, straight: bool = False) -> int:
     """Maximum edge count: 4n-8 (k=2, topological), 4n-9 (k=2, straight
-    edges), 3(k-1)(n-2) for k >= 3."""
+    edges), 3(k-1)(n-2) for k >= 3.  An ``n`` or ``k`` that is not an int
+    (a bool included) raises TypeError."""
+    check_ints(n=n, k=k)
     if n < 3:
         raise ValueError(f"bounds are stated for n >= 3, got {n}")
     if k < 2:
@@ -47,7 +49,9 @@ REASON_GENERIC = "the 4n-8 bound is attained (quadrangulation plus diagonals)"
 
 
 def exact_extremal_k2(n: int) -> tuple[int, str]:
-    """Exact maximum edge count of a fan-crossing free graph on n vertices."""
+    """Exact maximum edge count of a fan-crossing free graph on n vertices.
+    An ``n`` that is not an int (a bool included) raises TypeError."""
+    check_ints(n=n)
     if n < 3:
         raise ValueError(f"defined for n >= 3, got {n}")
     if n <= 6:

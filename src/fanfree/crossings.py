@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .model import CrossingRelation, FanWitness, Graph, StraightLineDrawing
+from .model import CrossingRelation, FanWitness, Graph, StraightLineDrawing, check_ints
 
 
 # Drawings with this many edges or more take ``plane_sweep`` first.  Below it
@@ -323,8 +323,10 @@ def find_k_fans(g: Graph, c: CrossingRelation, k: int) -> list[FanWitness]:
     first edge is kept as a bare int, the pair sum i + j (the crossed edge
     plus the crosser, which the key gives back), and a list is made only
     at its second edge: on a fan-free drawing few keys, and at k = 2 none,
-    get a second edge, so the pass costs what a count per key would."""
-    if k < 2:
+    get a second edge, so the pass costs what a count per key would.  A
+    ``k`` that is not an int (a bool included) raises TypeError."""
+    if type(k) is not int or k < 2:
+        check_ints(k=k)
         raise ValueError(f"k must be >= 2, got {k}")
     n, edges = g.n, g.edges
     buckets: dict[int, int | list[int]] = {}

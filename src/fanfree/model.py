@@ -11,13 +11,12 @@ a float.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, repeat, starmap
 from math import gcd, lcm
-from operator import eq, floordiv, mul
+from operator import eq, floordiv, itemgetter, mul
 from typing import NamedTuple
 
 SCHEMA_VERSION = 1
@@ -25,21 +24,33 @@ SCHEMA_VERSION = 1
 Coord = tuple[Fraction, Fraction]
 
 
-def rereadable(rows):
-    """``rows`` itself if it is a list, a tuple or a set, which can be read
-    again, else a tuple of its rows, read once; the value types read their
+def check_ints(**values) -> None:
+    """TypeError naming the first of ``values`` that is not an int (a bool
+    is not one): no count, size or index is rounded or truncated."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} = {value!r} must be an int")
+
+
+def int_rows(rows, width: int, message: str) -> list[tuple[int, ...]]:
+    """The rows of ``rows`` as tuples, the table and each row read once, if
+    every row is ``width`` ints (a bool is not one); else TypeError with
+    ``message`` formatted with the index and the value (a tuple if it is
+    iterable) of the first row that is not.  The value types read their
     rows through it, so that a generator or an iterator loses none."""
-    return rows if isinstance(rows, (list, tuple, frozenset, set)) else tuple(rows)
-
-
-def name_bad_row(rows, width: int, message: str) -> None:
-    """TypeError with ``message`` formatted with the index and the value (a
-    tuple if it is iterable) of the first of ``rows`` that is not ``width``
-    ints (a bool is not one).  The value types call it when a row fails."""
-    for i, row in enumerate(rows):
-        row = tuple(row) if isinstance(row, Iterable) else row
-        if type(row) is not tuple or len(row) != width or set(map(type, row)) != {int}:
-            raise TypeError(message.format(i, row))
+    table, bare = [], False
+    for row in rows:
+        try:
+            table.append(tuple(row))
+        except TypeError:  # not iterable: named as it is
+            table.append(row)
+            bare = True
+    if bare or not (set(map(len, table)) <= {width}
+                    and set(map(type, chain.from_iterable(table))) <= {int}):
+        for i, row in enumerate(table):
+            if type(row) is not tuple or len(row) != width or set(map(type, row)) != {int}:
+                raise TypeError(message.format(i, row))
+    return table
 
 
 @dataclass(frozen=True)
@@ -59,18 +70,11 @@ class Graph:
     edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if type(self.n) is not int:
-            raise TypeError(f"n = {self.n!r} must be an int")
-        edges = rereadable(self.edges)
-        try:
-            flat = list(chain.from_iterable(edges))
-            ok = set(map(type, flat)) <= {int} and not (
-                flat and (min(flat) < 0 or max(flat) >= self.n))
-            canon = tuple((u, v) if u <= v else (v, u) for u, v in edges)
-        except (TypeError, ValueError):  # a row that is not an iterable of two
-            ok = False
-        if not ok:
-            name_bad_row(edges, 2, "edge {} = {!r} must be a pair of ints")
+        check_ints(n=self.n)
+        edges = int_rows(self.edges, 2, "edge {} = {!r} must be a pair of ints")
+        canon = tuple([(u, v) if u <= v else (v, u) for u, v in edges])
+        # every pair is (min, max), so the least pair holds the least vertex
+        if canon and (min(canon)[0] < 0 or max(map(itemgetter(1), canon)) >= self.n):
             i, (u, v) = next((i, e) for i, e in enumerate(canon) if e[0] < 0 or e[1] >= self.n)
             raise ValueError(f"edge {i} = ({u}, {v}) has a vertex outside [0, {self.n})")
         object.__setattr__(self, "edges", canon)
@@ -110,15 +114,9 @@ class CrossingRelation:
     pairs: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
-        pairs = rereadable(self.pairs)
-        try:
-            ok = set(map(type, chain.from_iterable(pairs))) <= {int}
-            canon = frozenset((i, j) if i <= j else (j, i) for i, j in pairs)
-        except (TypeError, ValueError):  # a pair that is not an iterable of two
-            ok = False
-        if not ok:
-            name_bad_row(pairs, 2, "crossing pair {1!r} must be a pair of ints")
-        object.__setattr__(self, "pairs", canon)
+        pairs = int_rows(self.pairs, 2, "crossing pair {1!r} must be a pair of ints")
+        object.__setattr__(self, "pairs", frozenset(
+            (i, j) if i <= j else (j, i) for i, j in pairs))
 
     def crosses(self, i: int, j: int) -> bool:
         return ((i, j) if i <= j else (j, i)) in self.pairs
@@ -284,30 +282,23 @@ class InputError(ValueError):
     """A malformed interchange document."""
 
 
-def _int_rows(value, what: str, width: int) -> list:
-    """``value`` itself if it is a list of rows of ``width`` integers,
-    otherwise InputError naming the first bad row."""
-    if not isinstance(value, list):
-        raise InputError(f"{what} must be a list, got {type(value).__name__}")
-    if (set(map(type, value)) <= {list} and set(map(len, value)) <= {width}
-            and set(map(type, chain.from_iterable(value))) <= {int}):
-        return value
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != width or set(map(type, row)) != {int}:
-            raise InputError(f"{what}[{i}] must be a list of {width} integers, got {row!r}")
-    return value
-
-
-def _pair_table(build, rows, what: str):
-    """``build(rows)`` for a table of integer pairs, its shape tested here
-    and its entries by ``build`` alone.  On a failure the first row that is
-    not two integers is named, else ``build``'s error is the InputError."""
+def _table(data: dict, key: str, width: int, build):
+    """``build(data[key])`` for a table of rows of ``width`` integers, its
+    JSON shape (a list of lists) tested here and its entries by ``build``
+    alone.  On a failure the first row that is not a list of ``width``
+    integers is named, else ``build``'s error is the InputError."""
+    rows = data[key]
     try:
         if not (isinstance(rows, list) and set(map(type, rows)) <= {list}):
-            raise TypeError(f"{what} must be a list of lists")
+            raise TypeError(f"{key} must be a list of lists")
         return build(rows)
     except (TypeError, ValueError) as exc:
-        _int_rows(rows, what, 2)
+        if not isinstance(rows, list):
+            raise InputError(f"{key} must be a list, got {type(rows).__name__}") from None
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != width or set(map(type, row)) != {int}:
+                raise InputError(
+                    f"{key}[{i}] must be a list of {width} integers, got {row!r}") from None
         raise InputError(str(exc)) from None
 
 
@@ -328,11 +319,12 @@ def from_json_dict(data) -> Graph | Drawing:
             raise InputError(f"the document has no {key!r}")
     if type(data["n"]) is not int:
         raise InputError(f"n must be an integer, got {data['n']!r}")
-    g = _pair_table(lambda edges: Graph(data["n"], edges), data["edges"], "edges")
+    g = _table(data, "edges", 2, lambda edges: Graph(data["n"], edges))
     if problem := validate_graph(g):
         raise InputError(problem)
     if data.get("coords") is not None:
-        rows = _int_rows(data["coords"], "coords", 4)
+        rows = _table(data, "coords", 4,
+                      lambda rows: int_rows(rows, 4, "coordinate row {} = {!r} must be four ints"))
         cols = tuple(zip(*rows))  # xn, xd, yn, yd
         if cols and (0 in cols[1] or 0 in cols[3]):
             i = next(i for i, row in enumerate(rows) if row[1] == 0 or row[3] == 0)
@@ -348,7 +340,7 @@ def from_json_dict(data) -> Graph | Drawing:
         ys = map(mul, yn, map(floordiv, repeat(den), yd))
         return StraightLineDrawing(g, tuple(zip(xs, ys)), den)
     if data.get("crossings") is not None:
-        rel = _pair_table(CrossingRelation, data["crossings"], "crossings")
+        rel = _table(data, "crossings", 2, CrossingRelation)
         if problem := validate_crossings(g, rel):
             raise InputError(problem)
         provenance = data.get("provenance", "external")

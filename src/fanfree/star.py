@@ -19,15 +19,14 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .model import (
     AbstractDrawing,
     CrossingRelation,
     Graph,
     StraightLineDrawing,
-    name_bad_row,
-    rereadable,
+    check_ints,
+    int_rows,
 )
 from . import crossings as _cr
 
@@ -38,17 +37,9 @@ class StarConfig:
     arrows: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
-        if type(self.m) is not int:
-            raise TypeError(f"m = {self.m!r} must be an int")
-        rows = rereadable(self.arrows)
-        try:
-            arrows = tuple((s, e, t) for s, e, t in rows)
-            ok = set(map(type, chain.from_iterable(arrows))) <= {int}
-        except (TypeError, ValueError):  # an arrow that is not an iterable of three
-            ok = False
-        if not ok:
-            name_bad_row(rows, 3, "arrow {} = {!r} must be three ints")
-        object.__setattr__(self, "arrows", arrows)
+        check_ints(m=self.m)
+        object.__setattr__(self, "arrows", tuple(
+            int_rows(self.arrows, 3, "arrow {} = {!r} must be three ints")))
 
 
 def legal_exit(m: int, start: int, exit: int) -> bool:
@@ -645,8 +636,12 @@ def max_arrows(
     iterable, which must be at least 0 and sum to m (else ValueError).  The
     maximum is None when no configuration satisfies the filter.  Exceeding
     ``budget`` search nodes (at least 1, else ValueError) raises
-    InconclusiveError rather than returning anything.
+    InconclusiveError rather than returning anything.  An ``m``, ``k`` or
+    ``budget`` that is not an int (a bool included) raises TypeError.
     """
+    check_ints(m=m, k=k)
+    if budget is not None:
+        check_ints(budget=budget)
     if m < 3:
         raise ValueError(f"m must be >= 3, got {m}")
     if k < 2:

@@ -343,6 +343,13 @@ def test_malformed_input_is_exit_2(tmp_path, capsys):
         ({"n": 3, "edges": [[0, 1]], "coords": coords[1:]}, "2 coordinate rows for 3 vertices"),
         ({"n": 2, "edges": [[0, 1]], "crossings": [], "provenance": [1]},
          "provenance must be a string"),
+        # each table's rows are named with the loader's wording
+        ({"n": 3, "edges": [[0, 1.5]]}, "edges[0] must be a list of 2 integers, got [0, 1.5]"),
+        ({"n": 3, "edges": [[0, 1, 2]]}, "edges[0] must be a list of 2 integers, got [0, 1, 2]"),
+        ({"n": 3, "edges": [[0, 1], 5]}, "edges[1] must be a list of 2 integers, got 5"),
+        ({"n": 3, "edges": {"a": 1}}, "edges must be a list, got dict"),
+        ({"n": 4, "edges": [[0, 1], [2, 3]], "crossings": [[0, True]]},
+         "crossings[0] must be a list of 2 integers, got [0, True]"),
     ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))

@@ -69,6 +69,8 @@ def test_entries_that_are_not_ints_raise_type_error():
         # an iterator is read once, so its bad row is still named
         (lambda: Graph(3, iter([(0, 1.5)])), "edge 0 = (0, 1.5)"),
         (lambda: StarConfig(4, iter([(0, 2, 0), (0, 2.5, 0)])), "arrow 1 = (0, 2.5, 0)"),
+        # and so is each row: a bad iterator row is named with its entries
+        (lambda: Graph(3, [iter((0, 1.5)), 5]), "edge 0 = (0, 1.5)"),
     ):
         with pytest.raises(TypeError, match=re.escape(message)):
             make()
@@ -80,6 +82,36 @@ def test_entries_that_are_not_ints_raise_type_error():
     assert Graph(3, (e for e in [(0, 1), (1, 2)])).edges == ((0, 1), (1, 2))
     assert CrossingRelation(p for p in [(0, 1)]).pairs == {(0, 1)}
     assert StarConfig(4, (a for a in [(0, 2, 0)])).arrows == ((0, 2, 0),)
+    # and an iterator row loses no entry
+    assert Graph(3, [iter((0, 1))]).edges == ((0, 1),)
+    assert CrossingRelation([iter((0, 1))]).pairs == {(0, 1)}
+
+
+def test_scalar_arguments_that_are_not_ints_raise_type_error():
+    # a float k or m is not rounded into an answer: find_k_fans at k = 2.5
+    # found no fan on a drawing with a 2-fan, max_arrows(5, 2.5) returned 62
+    # and upper_bound(10.5, 2) and exact_extremal_k2(10.5) returned 34.0
+    from fanfree.bounds import exact_extremal_k2, upper_bound
+    from fanfree.crossings import find_k_fans
+    from fanfree.star import max_arrows
+
+    g = Graph(5, ((0, 1), (2, 3), (2, 4)))
+    c = CrossingRelation([(0, 1), (0, 2)])
+    assert find_k_fans(g, c, 2)  # edge 0 crosses two edges at vertex 2
+    for make, message in (
+        (lambda: find_k_fans(g, c, 2.5), "k = 2.5 must be an int"),
+        (lambda: find_k_fans(g, c, True), "k = True must be an int"),
+        (lambda: max_arrows(5, 2.5), "k = 2.5 must be an int"),
+        (lambda: max_arrows(5.0, 2), "m = 5.0 must be an int"),
+        (lambda: max_arrows(5, 2, budget=10.5), "budget = 10.5 must be an int"),
+        (lambda: max_arrows(5, 2, budget=True), "budget = True must be an int"),
+        (lambda: upper_bound(10.5, 2), "n = 10.5 must be an int"),
+        (lambda: upper_bound(10, 2.0), "k = 2.0 must be an int"),
+        (lambda: upper_bound(False, 2), "n = False must be an int"),
+        (lambda: exact_extremal_k2(10.5), "n = 10.5 must be an int"),
+    ):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            make()
 
 
 def test_edge_count_k6():
