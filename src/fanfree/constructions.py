@@ -9,7 +9,6 @@ falsification and raises ConstructionError.
 
 from __future__ import annotations
 
-import contextlib
 from fractions import Fraction
 from math import gcd
 
@@ -285,8 +284,7 @@ def gen_grid(side: int, k: int) -> StraightLineDrawing:
 
 def gen_kq_subdivision(q: int) -> StraightLineDrawing:
     """K_q with each edge split u-x-y-v by two vertices close to the hubs;
-    fan-crossing free because no two crossable segments share an endpoint.
-    The split parameter shrinks until the exact checker accepts."""
+    fan-crossing free because no two crossable segments share an endpoint."""
     if not (3 <= q <= 12):
         raise ValueError(f"q must be in [3, 12], got {q}")
     hubs = []
@@ -297,25 +295,18 @@ def gen_kq_subdivision(q: int) -> StraightLineDrawing:
     chords = [(i, j) for i in range(q) for j in range(i + 1, q)]
     n = q + 2 * len(chords)
     eps = Fraction(1, 8 * q * q)
-    for _attempt in range(40):
-        coords = list(hubs)
-        edges = []
-        for u, v in chords:
-            (ux, uy), (vx, vy) = hubs[u], hubs[v]
-            x_id = len(coords)
-            coords.append((ux + eps * (vx - ux), uy + eps * (vy - uy)))
-            y_id = len(coords)
-            coords.append((vx + eps * (ux - vx), vy + eps * (uy - vy)))
-            edges += [(u, x_id), (x_id, y_id), (y_id, v)]
-        d = StraightLineDrawing.from_coords(Graph(n, tuple(edges)), coords)
-        with contextlib.suppress(ConstructionError):
-            _check(len(edges) == 3 * len(chords), "subdivision edge count")
-            return _verified(d, 2, f"kq-subdivision q={q}")
-        eps /= 2
-    raise ConstructionError(
-        f"no split parameter made the q={q} subdivision verify; "
-        "this contradicts the construction and should be reported"
-    )
+    coords = list(hubs)
+    edges = []
+    for u, v in chords:
+        (ux, uy), (vx, vy) = hubs[u], hubs[v]
+        x_id = len(coords)
+        coords.append((ux + eps * (vx - ux), uy + eps * (vy - uy)))
+        y_id = len(coords)
+        coords.append((vx + eps * (ux - vx), vy + eps * (uy - vy)))
+        edges += [(u, x_id), (x_id, y_id), (y_id, v)]
+    d = StraightLineDrawing.from_coords(Graph(n, tuple(edges)), coords)
+    _check(len(edges) == 3 * len(chords), "subdivision edge count")
+    return _verified(d, 2, f"kq-subdivision q={q}")
 
 
 # ---------------------------------------------------------------------------

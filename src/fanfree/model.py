@@ -187,12 +187,13 @@ class StraightLineDrawing:
     def from_coords(cls, graph: Graph, coords) -> StraightLineDrawing:
         """The drawing of ``graph`` with vertex v at ``coords[v]``, each
         coordinate an int, a Fraction or a string that Fraction reads (a
-        float raises TypeError).  Its ``coords`` view holds the given values
-        as Fractions."""
+        float or a bool raises TypeError).  Its ``coords`` view holds the
+        given values as Fractions."""
         view = []
         for xy in coords:
-            if any(isinstance(c, float) for c in xy):
-                raise TypeError("coordinates must be exact (int / Fraction / str), not float")
+            if any(isinstance(c, (float, bool)) for c in xy):
+                raise TypeError(
+                    "coordinates must be exact (int / Fraction / str), not float or bool")
             x, y = (c if type(c) is Fraction else Fraction(c) for c in xy)
             view.append((x, y))
         den = lcm(*(c.denominator for xy in view for c in xy))

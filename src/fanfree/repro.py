@@ -49,7 +49,8 @@ def naive_fan_oracle(g: Graph, c: CrossingRelation, k: int) -> set[tuple[int, in
 def brute_class_table(m: int, k: int) -> dict[tuple[int, int, int], int]:
     """Exact per-class maxima of fan-free m-stars, by enumerating every
     multiset of legal arrow pairs and every order of the arrows on each
-    exit edge; it shares no code with the search.
+    exit edge; it shares no code with the search beyond the converter
+    ``StarConfig.from_orders``.
 
     The arrow count grows until no star of that count is fan-free.  Removing
     an arrow keeps a star fan-free, so no larger count can have one either.
@@ -68,12 +69,7 @@ def brute_class_table(m: int, k: int) -> dict[tuple[int, int, int], int]:
             for orders in itertools.product(
                 *(set(itertools.permutations(starts)) for starts in per_edge.values())
             ):
-                arrows = sorted(
-                    (s, e, slot)
-                    for e, order in zip(per_edge, orders)
-                    for slot, s in enumerate(order)
-                )
-                cfg = _star.StarConfig(m, tuple(arrows))
+                cfg = _star.StarConfig.from_orders(m, dict(zip(per_edge, orders)))
                 if is_k_fan_free(_star.star_drawing(cfg), k):
                     found = True
                     cls = _star.classify_vertices(cfg).counts

@@ -41,6 +41,14 @@ class StarConfig:
         object.__setattr__(self, "arrows", tuple(
             int_rows(self.arrows, 3, "arrow {} = {!r} must be three ints")))
 
+    @classmethod
+    def from_orders(cls, m: int, orders) -> StarConfig:
+        """The star whose arrows through e_e start at ``orders[e]``, in slot
+        order, with its arrows sorted: the inverse of ``edge_order``.
+        ``orders`` maps each edge to a sequence of start vertices."""
+        return cls(m, tuple(sorted(
+            (s, e, slot) for e, order in orders.items() for slot, s in enumerate(order))))
+
 
 def legal_exit(m: int, start: int, exit: int) -> bool:
     return exit not in (start % m, (start - 1) % m)
@@ -200,7 +208,8 @@ def bound_b(h: int, lam: int, nu: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Symmetry transforms for the tests, and the geometric realization of a star
+# Symmetry transforms for the tests, over the per-edge slot orders where
+# they move slots, and the geometric realization of a star
 
 def rotate_star(s: StarConfig, r: int) -> StarConfig:
     arrows = tuple(((a + r) % s.m, (e + r) % s.m, t) for a, e, t in s.arrows)
@@ -210,27 +219,19 @@ def rotate_star(s: StarConfig, r: int) -> StarConfig:
 def reflect_star(s: StarConfig) -> StarConfig:
     """Mirror image: vertex i -> -i, edge j -> -(j+1), slot order reversed."""
     m = s.m
-    per = edge_order(s)
-    arrows = []
-    for idx, (a, e, _t) in enumerate(s.arrows):
-        cnt = len(per[e])
-        rank = per[e].index(idx)
-        arrows.append(((-a) % m, (-e - 1) % m, cnt - 1 - rank))
-    return StarConfig(m, tuple(sorted(arrows)))
+    return StarConfig.from_orders(m, {
+        (-e - 1) % m: [(-s.arrows[idx][0]) % m for idx in reversed(order)]
+        for e, order in edge_order(s).items()
+    })
 
 
 def sub_star(s: StarConfig, keep: list[int]) -> StarConfig:
     """Restriction to a subset of arrows, slots re-ranked."""
-    per = edge_order(s)
     kept = set(keep)
-    arrows = []
-    for e, order in per.items():
-        rank = 0
-        for idx in order:
-            if idx in kept:
-                arrows.append((s.arrows[idx][0], e, rank))
-                rank += 1
-    return StarConfig(s.m, tuple(sorted(arrows)))
+    return StarConfig.from_orders(s.m, {
+        e: [s.arrows[idx][0] for idx in order if idx in kept]
+        for e, order in edge_order(s).items()
+    })
 
 
 def canonical_form(s: StarConfig) -> tuple:
@@ -399,7 +400,7 @@ def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
 
     ``table[idx]`` holds what a push of pair idx = (s, e) needs: the ``cut``
     entries it toggles, its fresh slack row (k-2 at the ends of e_e, k-1
-    elsewhere), the ends of e_e where that row is 0, and ``edge_pts[e]``.
+    elsewhere), the two ends of e_e (``ends``), and ``edge_pts[e]``.
     The push and the pop run in the branch loop: the masks, ``cut`` and the
     stack change once per pair, the slot list, the slack rows and the
     child's ``sat`` once per gap.
@@ -407,14 +408,17 @@ def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
     At k = 2 the push keeps no slack rows, and is exact without them.  An
     arrow's limit from v_v is k - 1 - [its exit edge touches v_v], at most
     1, so a fresh row is 0 at the ends of e_e and 1 elsewhere: the new
-    arrow joins ``sat`` of both ends at once (``tight``).  A gap that fits
+    arrow joins ``sat`` of both ends at once (``ends``).  A gap that fits
     crosses no arrow of ``sat[s]`` and at most one arrow from each v_v,
     none from the ends of e_e.  So for each crosser b, from v_v, b's row
     at v_s (1, as b is not in ``sat[s]``) and the new arrow's row at v_v
     (1, as v_v is not an end of e_e) both go to 0: b joins ``sat[s]`` and
     the new arrow joins ``sat[v]``.  The child is ``sat`` with the ends'
     bits set, ``child[s] |= mask`` and one OR per crosser, and there is
-    nothing to undo.  The regime is chosen once per branch pair.
+    nothing to undo.  At k >= 3 a fresh row is k-2 >= 1 at both ends, so
+    the new arrow joins ``sat[v]`` only when a crosser from v_v brings its
+    row to 0, and the push reads no ``ends``.  The regime is chosen once
+    per branch pair.
 
     A new arrow from v_s ending in gap g of e_e crosses the arrows not from
     v_s with exactly one end on the open arc from v_s to its endpoint: those
@@ -464,8 +468,7 @@ def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
         # cut[v] holds an arrow (s, e) iff v >= s XOR v >= e+1 (s = e+1 is
         # not a legal exit)
         arc = range(s, e + 1) if s < e else range(e + 1, s)
-        tight = [v for v in ends if not fresh[v]]
-        table.append((s, e, arc, fresh, tight, edge_pts[e]))
+        table.append((s, e, arc, fresh, ends, edge_pts[e]))
     npairs = len(pairs)
     nodes = 0
     best = -1
@@ -479,10 +482,8 @@ def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
         nonlocal best, witnesses
         if target is not None and vertex_classes(start_mask, exit_mask).counts != target:
             return
-        arrows = sorted(
-            (starts[aid], e, rank) for e in range(m) for rank, aid in enumerate(edge_pts[e])
-        )
-        snap = StarConfig(m, tuple(arrows))
+        snap = StarConfig.from_orders(
+            m, {e: [starts[aid] for aid in pts] for e, pts in enumerate(edge_pts)})
         if len(starts) > best:
             best = len(starts)
             witnesses = [snap]
@@ -532,7 +533,7 @@ def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
             # the incumbent may have grown since the pair was examined
             if count + cap <= best:
                 break
-            s, e, arc, fresh, tight, pts = table[idx]
+            s, e, arc, fresh, ends, pts = table[idx]
             # the children hold one copy of the pair: one less capacity
             room[idx] -= 1
             starts.append(s)
@@ -545,7 +546,7 @@ def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
                     # push: the child's sat, every crossing saturating both
                     # arrows; no slack rows at k = 2
                     child = sat[:]
-                    for v in tight:
+                    for v in ends:
                         child[v] |= bit
                     child[s] |= mask
                     rest = mask
@@ -563,8 +564,6 @@ def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
                     # push: the new arrow's slack row and the child's sat
                     row = fresh[:]
                     child = sat[:]
-                    for v in tight:
-                        child[v] |= bit
                     sat_s = child[s]
                     rest = mask
                     while rest:

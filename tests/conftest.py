@@ -45,14 +45,10 @@ def triangle():
 def random_star(rng: random.Random, m: int, k: int, attempts: int = 30) -> StarConfig:
     """Random fan-free star built by rejection: insert random arrows at
     random slots, keep an insertion only if the config stays fan-free."""
-    per_edge: list[list[int]] = [[] for _ in range(m)]
+    per_edge: dict[int, list[int]] = {e: [] for e in range(m)}
 
     def materialize():
-        arrows = []
-        for e in range(m):
-            for rank, s in enumerate(per_edge[e]):
-                arrows.append((s, e, rank))
-        return StarConfig(m, tuple(sorted(arrows)))
+        return StarConfig.from_orders(m, per_edge)
 
     for _ in range(attempts):
         s = rng.randrange(m)

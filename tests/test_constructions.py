@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import re
 from math import gcd
 
 import pytest
@@ -114,7 +115,9 @@ GENERATOR_DIGESTS = [
     (gen_tri_plus_dual, (3, 3), "62491f81e4164dad"),
     (gen_tri_plus_dual, (5, 6), "8ba07373ac4aa983"),
     (gen_tri_plus_dual, (7, 4), "7d3c08b1365f6d36"),
+    (gen_kq_subdivision, (3,), "9766df838d0bd121"),
     (gen_kq_subdivision, (6,), "7922604b2a90eb84"),
+    (gen_kq_subdivision, (12,), "e125020f11e8b9e1"),
 ]
 
 
@@ -152,6 +155,16 @@ def test_grid_stencil_shortest_vectors():
     assert box[118][0] ** 2 + box[118][1] ** 2 < 12 ** 2
     for k in range(2, 121):
         assert grid_stencil(k) == box[: k - 1], k
+
+
+def test_grid_families_reject_small_sizes():
+    for make, message in (
+        (lambda: grid_stencil(1), "k must be >= 2, got 1"),
+        (lambda: gen_grid(3, 3), "side must be >= 4, got 3"),
+        (lambda: gen_tri_plus_dual(2, 5), "rows and cols must be >= 3"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
 
 
 def test_grid_k2_is_a_union_of_paths():

@@ -44,6 +44,14 @@ def test_out_of_range_rejected():
     for edges in (((0, 5),), ((-1, 2),)):
         with pytest.raises(ValueError, match="outside"):
             Graph(3, edges)
+    # a point table of the wrong length or width, and a den below 1
+    for make, message in (
+        (lambda: StraightLineDrawing(Graph(2), ((0, 0),)), "1 coordinate pairs for 2 vertices"),
+        (lambda: StraightLineDrawing(Graph(1), ((0, 0, 0),)), "every point must be a pair (X, Y)"),
+        (lambda: StraightLineDrawing(Graph(1), ((0, 0),), 0), "den must be >= 1, got 0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
 
 
 def test_entries_that_are_not_ints_raise_type_error():
@@ -109,6 +117,7 @@ def test_scalar_arguments_that_are_not_ints_raise_type_error():
         (lambda: upper_bound(10, 2.0), "k = 2.0 must be an int"),
         (lambda: upper_bound(False, 2), "n = False must be an int"),
         (lambda: exact_extremal_k2(10.5), "n = 10.5 must be an int"),
+        (lambda: StraightLineDrawing(g, ((0, 0),) * 5, 2.0), "points and den must be ints"),
     ):
         with pytest.raises(TypeError, match=re.escape(message)):
             make()
@@ -153,6 +162,8 @@ def test_crossing_relation_canonical_and_validated():
 def test_json_round_trip_graph():
     g = Graph(4, ((0, 1), (2, 3)))
     assert from_json_dict(to_json_dict(g)) == g
+    with pytest.raises(TypeError, match="cannot serialize int"):
+        to_json_dict(5)
 
 
 def test_json_round_trip_straight():
@@ -171,8 +182,13 @@ def test_json_round_trip_abstract():
 
 
 def test_float_coordinates_rejected():
-    with pytest.raises(TypeError):
-        StraightLineDrawing.from_coords(Graph(1, ()), ((0.5, 1),))
+    # a bool is no coordinate either: Fraction(True) would place the point at 1
+    for coords in (((0.5, 1),), ((True, 0),)):
+        with pytest.raises(TypeError, match="coordinates must be exact"):
+            StraightLineDrawing.from_coords(Graph(1, ()), coords)
+    # ints, Fractions and strings that Fraction reads are exact
+    d = StraightLineDrawing.from_coords(Graph(1, ()), ((1, Fraction(1, 2)),))
+    assert d.points == StraightLineDrawing.from_coords(Graph(1, ()), (("1", "1/2"),)).points
 
 
 def test_fraction_coordinates_are_kept_as_given():

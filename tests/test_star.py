@@ -74,6 +74,18 @@ def test_slot_order_respected():
     assert star_drawing(StarConfig(5, ((0, 2, 0), (1, 2, 1)))).crossings.crosses(5, 6)
 
 
+def test_from_orders_inverts_edge_order():
+    # the star rebuilt from each edge's start vertices in slot order is the
+    # star itself, with its arrows sorted
+    assert StarConfig.from_orders(5, {2: [1, 0]}).arrows == ((0, 2, 1), (1, 2, 0))
+    rng = random.Random(29)
+    for _ in range(60):
+        m = rng.randint(3, 7)
+        s = random_star(rng, m, rng.choice((2, 3)))
+        orders = {e: [s.arrows[i][0] for i in order] for e, order in edge_order(s).items()}
+        assert StarConfig.from_orders(m, orders).arrows == tuple(sorted(s.arrows))
+
+
 def test_triangle_arrows_cross():
     s = StarConfig(3, ((0, 1, 0), (1, 2, 0)))
     assert star_drawing(s).crossings.crosses(3, 4)
@@ -211,6 +223,8 @@ def test_bound_b_values():
         bound_b(1, 1, 1, 3)
     with pytest.raises(ValueError):
         bound_b(3, 0, 0, 2)
+    with pytest.raises(ValueError, match="negative class counts"):
+        bound_b(2, -1, 1, 3)
 
 
 # -- exact search ------------------------------------------------------------
@@ -464,6 +478,8 @@ def test_max_arrows_rejects_bad_arguments():
         max_arrows(4, 1)
     with pytest.raises(ValueError, match="choose one filter"):
         max_arrows(4, 2, long_only=True, vertex_class=(2, 1, 1))
+    with pytest.raises(ValueError, match="base cases are defined for k >= 3, got 2"):
+        verify_base_cases(2)
 
 
 def test_witness_configs_are_fan_free_and_match_class():
@@ -554,6 +570,7 @@ def test_rotation_and_reflection_preserve_fan_freeness():
         assert is_k_fan_free(star_drawing(reflect_star(s)), 2)
         refl = reflect_star(reflect_star(s))
         assert canonical_form(refl) == canonical_form(s)
+        assert refl.arrows == tuple(sorted(s.arrows))
 
 
 def test_extremal_configs_closed_under_rotation():
