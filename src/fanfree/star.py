@@ -391,34 +391,38 @@ def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
       through one of e_0..e_{v-1}.
     - ``sat[v]``: the arrows b on which one more crosser from v_v completes
       a k-fan, that is, crossers of b from v_v, plus 1, plus 1 if b's exit
-      edge touches v_v, is at least k.  Each node gets its own list as an
-      argument; a child's is a copy with the new arrow's changes.
-    - ``slack[a][v]``: the crossers from v_v that arrow a can still take
-      before it joins ``sat[v]``, which it does when this reaches 0 (kept
-      at k >= 3 only; see below).
+      edge touches v_v, is at least k.
     - ``edge_pts[e]``: the arrows on e_e in slot order.
 
-    ``table[idx]`` holds what a push of pair idx = (s, e) needs: the ``cut``
-    entries it toggles, its fresh slack row (k-2 at the ends of e_e, k-1
-    elsewhere), the two ends of e_e (``ends``), and ``edge_pts[e]``.
-    The push and the pop run in the branch loop: the masks, ``cut`` and the
-    stack change once per pair, the slot list, the slack rows and the
-    child's ``sat`` once per gap.
+    Each node gets its own list of k-1 stacked level masks per vertex as an
+    argument, and a child's is one copy with the new arrow's changes:
 
-    At k = 2 the push keeps no slack rows, and is exact without them.  An
-    arrow's limit from v_v is k - 1 - [its exit edge touches v_v], at most
-    1, so a fresh row is 0 at the ends of e_e and 1 elsewhere: the new
-    arrow joins ``sat`` of both ends at once (``ends``).  A gap that fits
-    crosses no arrow of ``sat[s]`` and at most one arrow from each v_v,
-    none from the ends of e_e.  So for each crosser b, from v_v, b's row
-    at v_s (1, as b is not in ``sat[s]``) and the new arrow's row at v_v
-    (1, as v_v is not an end of e_e) both go to 0: b joins ``sat[s]`` and
-    the new arrow joins ``sat[v]``.  The child is ``sat`` with the ends'
-    bits set, ``child[s] |= mask`` and one OR per crosser, and there is
-    nothing to undo.  At k >= 3 a fresh row is k-2 >= 1 at both ends, so
-    the new arrow joins ``sat[v]`` only when a crosser from v_v brings its
-    row to 0, and the push reads no ``ends``.  The regime is chosen once
-    per branch pair.
+    - Entry (k-1-j)*m + v holds the arrows with at least j crossers from
+      v_v, counting one more when their exit edge touches v_v (j = 1..k-1).
+      The levels nest: an arrow at level j is at every level below it.
+    - Entries 0..m-1 are level k-1, which is ``sat``: crossers plus touch
+      at least k-1 is the same as crossers, plus 1, plus touch at least k.
+      The fit test reads only these, and at k = 2 they are the whole list.
+    - A push of arrow a from v_s lifts each arrow it crosses one level at
+      v_s, top-down over the pair's ``ladder`` (the entries s, s+m, ... of
+      levels k-1..2, each taking the crossers of the level below it), then
+      level 1; it sets a at level 1 of both ends of e_e (``ends``); and for
+      each crosser from v_v it walks a up from level 1 at v_v to its first
+      free level.  The walk stays in range: a gap that fits keeps a's
+      crossers from each v_v, plus 1 if e_e touches v_v, below k, so a
+      never passes level k-1 (entry v).  One more level would take the
+      index below 0, where Python would wrap it without an error.  A lift
+      stays in range too, since a crosses no arrow of ``sat[s]``.  At
+      k = 2 the ladder is empty and no walk steps: a takes no crosser from
+      an end of e_e and at most one from any other vertex.
+    - A pop has nothing to undo in the level masks: a push changes only
+      the child's own copy, which no other node reads.
+
+    ``table[idx]`` holds what a push of pair idx = (s, e) needs: the ``cut``
+    entries it toggles, the level-1 entries of the two ends of e_e
+    (``ends``), the ``ladder`` at v_s, and ``edge_pts[e]``.  The push and
+    the pop run in the branch loop: the masks, ``cut`` and the stack change
+    once per pair, the slot list and the child's level masks once per gap.
 
     A new arrow from v_s ending in gap g of e_e crosses the arrows not from
     v_s with exactly one end on the open arc from v_s to its endpoint: those
@@ -454,21 +458,21 @@ def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
     cut = [0] * m
     edge_pts: list[list[int]] = [[] for _ in range(m)]
     starts: list[int] = []
-    slack: list[list[int]] = []
     # copies of each pair still insertable: k-1 minus those placed
     room = [k - 1] * len(pairs)
     # the pairs that fit at no gap, set by the node that found them for its
     # subtree
     dead = [False] * len(pairs)
     fits = _fit_kernel(m, k, start_mask, exit_mask, cut, edge_pts)
+    # the entry of level 1 at v_0
+    base = (k - 2) * m
     table = []
     for s, e in pairs:
-        ends = (e, (e + 1) % m)
-        fresh = [k - 2 if v in ends else k - 1 for v in range(m)]
+        ends = (base + e, base + (e + 1) % m)
         # cut[v] holds an arrow (s, e) iff v >= s XOR v >= e+1 (s = e+1 is
         # not a legal exit)
         arc = range(s, e + 1) if s < e else range(e + 1, s)
-        table.append((s, e, arc, fresh, ends, edge_pts[e]))
+        table.append((s, e, arc, ends, range(s, base, m), edge_pts[e]))
     npairs = len(pairs)
     nodes = 0
     best = -1
@@ -533,7 +537,7 @@ def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
             # the incumbent may have grown since the pair was examined
             if count + cap <= best:
                 break
-            s, e, arc, fresh, ends, pts = table[idx]
+            s, e, arc, ends, ladder, pts = table[idx]
             # the children hold one copy of the pair: one less capacity
             room[idx] -= 1
             starts.append(s)
@@ -541,57 +545,29 @@ def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
             exit_mask[e] |= bit
             for v in arc:
                 cut[v] ^= bit
-            if k == 2:
-                for gap, mask in gaps:
-                    # push: the child's sat, every crossing saturating both
-                    # arrows; no slack rows at k = 2
-                    child = sat[:]
-                    for v in ends:
-                        child[v] |= bit
-                    child[s] |= mask
-                    rest = mask
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        child[starts[low.bit_length() - 1]] |= bit
-                    pts.insert(gap, count)
-                    if grown > best or (grown == best and len(witnesses) < MAX_WITNESSES):
-                        record()
-                    dfs(idx, npairs, cap - 1, child)
-                    del pts[gap]
-            else:
-                for gap, mask in gaps:
-                    # push: the new arrow's slack row and the child's sat
-                    row = fresh[:]
-                    child = sat[:]
-                    sat_s = child[s]
-                    rest = mask
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        b = low.bit_length() - 1
-                        v = starts[b]
-                        row[v] -= 1
-                        if not row[v]:
-                            child[v] |= bit
-                        other = slack[b]
-                        other[s] -= 1
-                        if not other[s]:
-                            sat_s |= low
-                    child[s] = sat_s
-                    pts.insert(gap, count)
-                    slack.append(row)
-                    if grown > best or (grown == best and len(witnesses) < MAX_WITNESSES):
-                        record()
-                    dfs(idx, npairs, cap - 1, child)
-                    # pop
-                    del pts[gap]
-                    slack.pop()
-                    rest = mask
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        slack[low.bit_length() - 1][s] += 1
+            bottom = base + s
+            for gap, mask in gaps:
+                # push: the crossers one level up at v_s, the new arrow at
+                # level 1 of the ends and one level up per crosser
+                child = sat[:]
+                for at in ladder:
+                    child[at] |= mask & child[at + m]
+                child[bottom] |= mask
+                for at in ends:
+                    child[at] |= bit
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    at = base + starts[low.bit_length() - 1]
+                    while child[at] & bit:
+                        at -= m
+                    child[at] |= bit
+                pts.insert(gap, count)
+                if grown > best or (grown == best and len(witnesses) < MAX_WITNESSES):
+                    record()
+                dfs(idx, npairs, cap - 1, child)
+                del pts[gap]
             starts.pop()
             start_mask[s] ^= bit
             exit_mask[e] ^= bit
@@ -602,7 +578,7 @@ def _search(m, k, pairs, target, budget, first_limit) -> SearchResult:
             dead[idx] = False
 
     record()  # the empty star, the first incumbent
-    dfs(0, first_limit, sum(room), [0] * m)
+    dfs(0, first_limit, sum(room), [0] * (k - 1) * m)
     maximum = best if best >= 0 else None
     return SearchResult(maximum, tuple(witnesses) if maximum is not None else (), nodes)
 

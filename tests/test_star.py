@@ -332,7 +332,7 @@ def test_search_outputs_are_pinned():
     assert digest.hexdigest() == PINNED_DIGEST
 
 
-# k >= 5, where an arrow's fresh slack rows start above 3
+# k >= 5, where the search keeps four or more stacked levels per vertex
 PINNED_CASES_K5 = ((3, 5), (3, 6), (4, 5))
 PINNED_DIGEST_K5 = "e5eef6a5d087f63869ae5ef9d59a0045ef52a6795033a37409f63c961a731f96"
 
@@ -537,14 +537,16 @@ def test_brute_force_enumeration_confirms_search_class_table():
         assert res.maximum == brute, (h, lam, nu)
     assert (2, 1, 0) not in table4
     assert table4[(3, 1, 0)] == 5 and table4[(2, 1, 1)] == 5
-    # at k = 2 (the search's push without slack rows) the two agree on every
-    # class, and a class no fan-free star has is None in both
-    for m in (3, 4, 5):
-        table = brute_class_table(m, 2)
+    # at k = 2 (one level per vertex) and on the triangle at k = 4
+    # and 5 (a ladder of two and three levels, where no other oracle checks
+    # the search) the two agree on every class, and a class no fan-free star
+    # has is None in both
+    for m, k in ((3, 2), (4, 2), (5, 2), (3, 4), (3, 5)):
+        table = brute_class_table(m, k)
         for h in range(m + 1):
             for lam in range(m + 1 - h):
                 cls = (h, lam, m - h - lam)
-                assert max_arrows(m, 2, vertex_class=cls).maximum == table.get(cls), cls
+                assert max_arrows(m, k, vertex_class=cls).maximum == table.get(cls), (m, k, cls)
 
 
 # -- invariants and properties ------------------------------------------------
