@@ -4,8 +4,8 @@ the n = 7 and n = 9 nonexistence results."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import SCHEMA_VERSION, AbstractDrawing, Graph, StraightLineDrawing, check_ints
 from .crossings import find_k_fans
@@ -96,8 +96,7 @@ def nonexistence_argument(n: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     n: int
     k: int
     straight: bool
@@ -160,4 +159,4 @@ def check_graph_against_bounds(
 
 
 def report_to_json(rep: BoundReport) -> dict:
-    return {"schema": SCHEMA_VERSION, **asdict(rep)}
+    return {"schema": SCHEMA_VERSION, **rep._asdict()}

@@ -11,7 +11,6 @@ a float.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, repeat, starmap
@@ -53,8 +52,48 @@ def int_rows(rows, width: int, message: str) -> list[tuple[int, ...]]:
     return table
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Value:
+    """Base of the value types.  The fields of a value type are the names
+    its class body annotates, in order (``_fields``); a default there is a
+    class attribute too, and its ``__init__`` signature repeats it.  Two
+    values are equal, and hash equally, when they are of one class and their
+    fields are equal; the repr names every field.  No attribute is assigned
+    or deleted once ``__init__`` has written each field with ``_set``.  A
+    ``cached_property`` keeps its value in the instance ``__dict__``, which
+    it writes directly."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        # a class body without annotations has an empty dict here (3.10+)
+        cls._fields = tuple(cls.__annotations__) or cls._fields
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__  # writes a field of a value in its __init__
+
+
+class Graph(_Value):
     """Abstract graph on vertices 0..n-1 with indexed edges.
 
     Edges are stored canonically as (min, max) pairs in input order; the
@@ -69,15 +108,17 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self):
-        check_ints(n=self.n)
-        edges = int_rows(self.edges, 2, "edge {} = {!r} must be a pair of ints")
-        canon = tuple([(u, v) if u <= v else (v, u) for u, v in edges])
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...] = ()):
+        check_ints(n=n)
+        rows = int_rows(edges, 2, "edge {} = {!r} must be a pair of ints")
+        # a row that is already (min, max) is kept as int_rows read it
+        canon = tuple([e if u <= v else (v, u) for e in rows for u, v in (e,)])
         # every pair is (min, max), so the least pair holds the least vertex
-        if canon and (min(canon)[0] < 0 or max(map(itemgetter(1), canon)) >= self.n):
-            i, (u, v) = next((i, e) for i, e in enumerate(canon) if e[0] < 0 or e[1] >= self.n)
-            raise ValueError(f"edge {i} = ({u}, {v}) has a vertex outside [0, {self.n})")
-        object.__setattr__(self, "edges", canon)
+        if canon and (min(canon)[0] < 0 or max(map(itemgetter(1), canon)) >= n):
+            i, (u, v) = next((i, e) for i, e in enumerate(canon) if e[0] < 0 or e[1] >= n)
+            raise ValueError(f"edge {i} = ({u}, {v}) has a vertex outside [0, {n})")
+        _set(self, "n", n)
+        _set(self, "edges", canon)
 
     def incident_edges(self) -> list[list[int]]:
         """Edge indices incident to each vertex."""
@@ -105,18 +146,16 @@ def validate_graph(g: Graph) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class CrossingRelation:
+class CrossingRelation(_Value):
     """Symmetric set of crossing edge-index pairs, stored as (min, max).
     A pair that is not two ints (a bool is not one) raises TypeError on
     construction."""
 
     pairs: frozenset[tuple[int, int]] = frozenset()
 
-    def __post_init__(self):
-        pairs = int_rows(self.pairs, 2, "crossing pair {1!r} must be a pair of ints")
-        object.__setattr__(self, "pairs", frozenset(
-            (i, j) if i <= j else (j, i) for i, j in pairs))
+    def __init__(self, pairs: frozenset[tuple[int, int]] = frozenset()):
+        rows = int_rows(pairs, 2, "crossing pair {1!r} must be a pair of ints")
+        _set(self, "pairs", frozenset([p if i <= j else (j, i) for p in rows for i, j in (p,)]))
 
     def crosses(self, i: int, j: int) -> bool:
         return ((i, j) if i <= j else (j, i)) in self.pairs
@@ -149,8 +188,7 @@ def validate_crossings(g: Graph, c: CrossingRelation) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class StraightLineDrawing:
+class StraightLineDrawing(_Value):
     """A graph plus one exact point per vertex: vertex v is at
     (X / den, Y / den) for (X, Y) = ``points[v]``, plain ints.  The
     constructor divides out any factor ``den`` shares with every coordinate,
@@ -165,14 +203,13 @@ class StraightLineDrawing:
     points: tuple[tuple[int, int], ...] = ()
     den: int = 1
 
-    def __post_init__(self):
-        pts = tuple(map(tuple, self.points))
-        if len(pts) != self.graph.n:
-            raise ValueError(f"{len(pts)} coordinate pairs for {self.graph.n} vertices")
+    def __init__(self, graph: Graph, points: tuple[tuple[int, int], ...] = (), den: int = 1):
+        pts = tuple(map(tuple, points))
+        if len(pts) != graph.n:
+            raise ValueError(f"{len(pts)} coordinate pairs for {graph.n} vertices")
         if not set(map(len, pts)) <= {2}:
             raise ValueError("every point must be a pair (X, Y)")
         flat = list(chain.from_iterable(pts))
-        den = self.den
         if not set(map(type, flat)) <= {int} or type(den) is not int:
             raise TypeError("points and den must be ints")
         if den < 1:
@@ -180,8 +217,10 @@ class StraightLineDrawing:
         common = gcd(den, *flat)
         if common != 1:
             pts = tuple((x // common, y // common) for x, y in pts)
-            object.__setattr__(self, "den", den // common)
-        object.__setattr__(self, "points", pts)
+            den //= common
+        _set(self, "graph", graph)
+        _set(self, "points", pts)
+        _set(self, "den", den)
 
     @classmethod
     def from_coords(cls, graph: Graph, coords) -> StraightLineDrawing:
@@ -227,18 +266,30 @@ class StraightLineDrawing:
         return _cr.compute_crossings(self)
 
 
-@dataclass(frozen=True)
-class AbstractDrawing:
+class AbstractDrawing(_Value):
     """A graph with a combinatorial crossing relation but no geometry.
 
     Realizability of an arbitrary relation is deliberately not checked;
     generator-produced drawings are realizable by construction and external
-    inputs are trusted modulo the stated invariants.
+    inputs are trusted modulo the stated invariants.  A part of the wrong
+    type raises TypeError naming it.
     """
 
     graph: Graph
     crossings: CrossingRelation
     provenance: str = "external"
+
+    def __init__(self, graph: Graph, crossings: CrossingRelation, provenance: str = "external"):
+        if not isinstance(graph, Graph):
+            raise TypeError(f"graph must be a Graph, got {type(graph).__name__}")
+        if not isinstance(crossings, CrossingRelation):
+            raise TypeError(
+                f"crossings must be a CrossingRelation, got {type(crossings).__name__}")
+        if not isinstance(provenance, str):
+            raise TypeError(f"provenance must be a str, got {provenance!r}")
+        _set(self, "graph", graph)
+        _set(self, "crossings", crossings)
+        _set(self, "provenance", provenance)
 
 
 class FanWitness(NamedTuple):

@@ -15,8 +15,8 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import AbstractDrawing, CrossingRelation, Graph, StraightLineDrawing
 from . import bounds as _bounds
@@ -114,8 +114,7 @@ def random_fan_free_drawing(rng: random.Random, max_n: int = 12):
         d = StraightLineDrawing(Graph(d.graph.n, edges), d.points, d.den)
 
 
-@dataclass
-class Claim:
+class Claim(NamedTuple):
     name: str
     status: str  # pass | fail
     detail: str

@@ -17,29 +17,33 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import (
     AbstractDrawing,
     CrossingRelation,
     Graph,
     StraightLineDrawing,
+    _set,
+    _Value,
     check_ints,
     int_rows,
 )
 from . import crossings as _cr
 
 
-@dataclass(frozen=True)
-class StarConfig:
+class StarConfig(_Value):
+    """An m-star and its arrows (start, exit, slot); see the module
+    docstring."""
+
     m: int
     arrows: tuple[tuple[int, int, int], ...] = ()
 
-    def __post_init__(self):
-        check_ints(m=self.m)
-        object.__setattr__(self, "arrows", tuple(
-            int_rows(self.arrows, 3, "arrow {} = {!r} must be three ints")))
+    def __init__(self, m: int, arrows: tuple[tuple[int, int, int], ...] = ()):
+        check_ints(m=m)
+        _set(self, "m", m)
+        _set(self, "arrows", tuple(int_rows(arrows, 3, "arrow {} = {!r} must be three ints")))
 
     @classmethod
     def from_orders(cls, m: int, orders) -> StarConfig:
@@ -133,8 +137,7 @@ RIGHT_LIGHT = "right-light"
 VOID = "void"
 
 
-@dataclass(frozen=True)
-class VertexClasses:
+class VertexClasses(NamedTuple):
     tags: tuple[str, ...]
     h: int
     lam: int
@@ -312,8 +315,7 @@ class InconclusiveError(RuntimeError):
         self.config = config
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     maximum: int | None
     configs: tuple[StarConfig, ...]
     nodes: int
@@ -675,8 +677,7 @@ def base_case_formula(h: int, lam: int, nu: int, k: int) -> int:
     return table[(h, lam, nu)]
 
 
-@dataclass(frozen=True)
-class BaseCaseRow:
+class BaseCaseRow(NamedTuple):
     h: int
     lam: int
     nu: int

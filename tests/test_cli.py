@@ -81,21 +81,35 @@ def test_budget_below_one_is_a_usage_error(capsys):
         assert "budget must be >= 1" in capsys.readouterr().err
 
 
-def test_python_dash_m_fanfree_runs_the_cli(tmp_path):
+def _run_python(*args):
+    """``python *args`` in a fresh process that imports fanfree from this
+    checkout's src/ (ahead of any inherited PYTHONPATH)."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_dash_m_fanfree_runs_the_cli(tmp_path):
     out = tmp_path / "s.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "fanfree", "star-search", "--m", "4", "--k", "2",
-         "--json", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_python("-m", "fanfree", "star-search", "--m", "4", "--k", "2",
+                       "--json", str(out))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "2"
     payload = json.loads(out.read_text())
     assert (payload["m"], payload["k"], payload["maximum"]) == (4, 2, 2)
     assert payload["configs"]
+
+
+def test_fanfree_imports_no_third_party_module_and_no_dataclasses():
+    # the same check as the CI step: the package has no runtime dependency,
+    # and its value types and records generate no code at import
+    proc = _run_python("-c", (
+        "import sys, fanfree, fanfree.cli, fanfree.repro; "
+        "bad = sorted({'numpy', 'networkx', 'hypothesis', 'pytest', 'dataclasses'}"
+        " & set(sys.modules)); assert not bad, bad"))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_star_search_class_filter(capsys):

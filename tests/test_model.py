@@ -18,6 +18,7 @@ from fanfree.model import (
     validate_crossings,
     validate_graph,
 )
+from fanfree.star import StarConfig
 
 
 def test_triangle_is_valid():
@@ -157,6 +158,99 @@ def test_crossing_relation_canonical_and_validated():
     assert validate_crossings(g, c) is None
     adjacent = CrossingRelation(frozenset({(0, 2)}))  # edges share vertex 0
     assert "adjacent" in validate_crossings(g, adjacent)
+
+
+def _value_examples():
+    """One instance of each of the five value types, fresh on every call."""
+    g = Graph(3, ((1, 0), (1, 2)))
+    return [
+        g,
+        CrossingRelation([(1, 0)]),
+        StraightLineDrawing(g, ((0, 0), (2, 4), (4, 0)), 2),
+        AbstractDrawing(g, CrossingRelation(), "star"),
+        StarConfig(4, ((0, 2, 0),)),
+    ]
+
+
+VALUE_FIELDS = {
+    Graph: ("n", "edges"),
+    CrossingRelation: ("pairs",),
+    StraightLineDrawing: ("graph", "points", "den"),
+    AbstractDrawing: ("graph", "crossings", "provenance"),
+    StarConfig: ("m", "arrows"),
+}
+
+
+def test_value_types_build_with_their_defaults():
+    g = Graph(3)
+    assert (g.n, g.edges) == (3, ()) and Graph(n=3, edges=()) == g
+    rel = CrossingRelation()
+    assert rel.pairs == frozenset() and CrossingRelation(pairs=()) == rel
+    pts = ((0, 0), (1, 2), (3, 1))
+    d = StraightLineDrawing(g, pts)
+    assert (d.graph, d.points, d.den) == (g, pts, 1)
+    assert StraightLineDrawing(graph=g, points=pts, den=1) == d
+    a = AbstractDrawing(g, rel)
+    assert (a.graph, a.crossings, a.provenance) == (g, rel, "external")
+    assert AbstractDrawing(graph=g, crossings=rel, provenance="external") == a
+    s = StarConfig(4)
+    assert (s.m, s.arrows) == (4, ()) and StarConfig(m=4, arrows=()) == s
+
+
+def test_value_types_compare_and_hash_by_their_fields_within_one_class():
+    for a, b in zip(_value_examples(), _value_examples()):
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        fields = tuple(getattr(a, f) for f in VALUE_FIELDS[type(a)])
+        assert a != fields and fields != a
+        twin = type("Twin", (type(a),), {})(*fields)
+        assert a != twin and twin != a
+    assert len({*_value_examples(), *_value_examples()}) == 5
+    # the same field values in another value type
+    assert Graph(4) != StarConfig(4) and StarConfig(4) != Graph(4)
+
+
+def test_value_types_are_immutable():
+    for v in _value_examples():
+        for f in (*VALUE_FIELDS[type(v)], "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{f}'"):
+                setattr(v, f, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{f}'"):
+                delattr(v, f)
+
+
+def test_cached_properties_are_computed_once():
+    d = StraightLineDrawing(Graph(4, ((0, 2), (1, 3))), ((0, 0), (2, 0), (2, 2), (0, 2)))
+    before = repr(d)
+    assert d.crossings is d.crossings and d.crossings.pairs == {(0, 1)}
+    assert d.coords is d.coords
+    rel = d.crossings
+    assert rel.adjacency is rel.adjacency and rel.adjacency == {0: (1,), 1: (0,)}
+    assert repr(d) == before  # a kept property is not a field
+
+
+def test_value_reprs_name_every_field():
+    assert repr(Graph(2, ((1, 0),))) == "Graph(n=2, edges=((0, 1),))"
+    assert repr(CrossingRelation([(1, 0)])) == "CrossingRelation(pairs=frozenset({(0, 1)}))"
+    assert repr(StraightLineDrawing(Graph(2, ((0, 1),)), ((0, 0), (2, 4)), 2)) == (
+        "StraightLineDrawing(graph=Graph(n=2, edges=((0, 1),)), "
+        "points=((0, 0), (1, 2)), den=1)")
+    assert repr(AbstractDrawing(Graph(1), CrossingRelation())) == (
+        "AbstractDrawing(graph=Graph(n=1, edges=()), "
+        "crossings=CrossingRelation(pairs=frozenset()), provenance='external')")
+    assert repr(StarConfig(4, ((0, 2, 0),))) == "StarConfig(m=4, arrows=((0, 2, 0),))"
+
+
+def test_abstract_drawing_rejects_parts_of_the_wrong_type():
+    g, rel = Graph(2, ((0, 1),)), CrossingRelation()
+    with pytest.raises(TypeError, match="graph must be a Graph, got tuple"):
+        AbstractDrawing((2, ((0, 1),)), rel)
+    with pytest.raises(TypeError, match="crossings must be a CrossingRelation, got list"):
+        AbstractDrawing(Graph(2), [(0, 1)])
+    with pytest.raises(TypeError, match="provenance must be a str, got 5"):
+        AbstractDrawing(g, rel, 5)
+    # the loader names a bad provenance itself, before it builds the drawing
+    with pytest.raises(InputError, match="provenance must be a string, got 5"):
+        from_json_dict({"n": 2, "edges": [[0, 1]], "crossings": [], "provenance": 5})
 
 
 def test_json_round_trip_graph():
