@@ -1,10 +1,11 @@
 """Deterministic generators for the extremal and lower-bound families.
 
 Every generator verifies its own output with the exact checkers before
-returning (simple graph, simplicity of coordinates where present, the
-expected crossing pattern, and fan-freeness at the family's k), all in
-``_verified``.  A verification failure is a construction bug or a
-falsification and raises ConstructionError.
+returning (simplicity of coordinates where present, the expected crossing
+pattern, and fan-freeness at the family's k), all in ``_verified``.  A
+verification failure is a construction bug or a falsification and raises
+ConstructionError.  ``Graph`` and ``AbstractDrawing`` check the rest (a
+simple graph, a relation of disjoint edges) when built, with ValueError.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .model import (
     CrossingRelation,
     Graph,
     StraightLineDrawing,
-    validate_graph,
 )
 from .crossings import SimplicityError, find_k_fans
 
@@ -32,11 +32,10 @@ def _check(cond: bool, what: str):
 
 
 def _verified(d, k: int, what: str, pairs=None):
-    """``d`` once it passes the self-checks: a simple graph, a simple drawing
-    (a SimplicityError is a construction bug, so it becomes a
+    """``d`` once it passes the self-checks: a simple drawing (a
+    SimplicityError is a construction bug, so it becomes a
     ConstructionError), exactly the crossing ``pairs`` when they are given,
     and no k-fan."""
-    _check(validate_graph(d.graph) is None, f"{what} graph invalid")
     try:
         rel = d.crossings
     except SimplicityError as exc:

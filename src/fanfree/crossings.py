@@ -130,14 +130,13 @@ def _decide(d: StraightLineDrawing) -> tuple[SimplicityReport, CrossingRelation 
     # inside edge e to an end of e overlaps e, and two edges from one s to
     # two vertices on a point other than s's overlap each other
     if violations:
-        ends: dict[tuple[int, int], list[int]] = {}
-        for i, uv in enumerate(edges):
-            ends.setdefault(uv, []).append(i)
+        index = dict(zip(edges, range(len(edges))))  # a graph has no duplicate edge
         overlaps = set()
         for kind, (w, e) in violations:
             if kind == "vertex-on-edge":
                 for s in edges[e]:
-                    for i in ends.get((s, w) if s < w else (w, s), ()):
+                    i = index.get((s, w) if s < w else (w, s))
+                    if i is not None:
                         overlaps.add((i, e) if i < e else (e, i))
         inc = d.graph.incident_edges() if shared else ()
         for p, group in shared.items():
@@ -147,7 +146,8 @@ def _decide(d: StraightLineDrawing) -> tuple[SimplicityReport, CrossingRelation 
                     if pts[s] == p:
                         continue
                     for r in group[pos + 1:]:
-                        for j in ends.get((s, r) if s < r else (r, s), ()):
+                        j = index.get((s, r) if s < r else (r, s))
+                        if j is not None:
                             overlaps.add((i, j) if i < j else (j, i))
         violations.extend(("adjacent-overlap", ij) for ij in overlaps)
 
@@ -159,7 +159,7 @@ def _decide(d: StraightLineDrawing) -> tuple[SimplicityReport, CrossingRelation 
     # crossing, each segment's ends strictly on both sides of the other's
     # line.  Each edge meets the edges after it in x order whose x extent
     # starts within its own.  Two edges that share an end have it on both
-    # lines, and a self-loop is a point on every line, so neither passes.
+    # lines, so they never pass.
     recs.sort()
     pairs = []
     for at, (ax, ay, bx, by, dx, dy, c, e) in enumerate(recs, 1):
@@ -191,8 +191,8 @@ def _schedule(pending: list, x, y, w) -> None:
 def plane_sweep(d: StraightLineDrawing) -> CrossingRelation | None:
     """The crossing relation of ``d`` from one Bentley–Ottmann sweep, or None
     at the first degeneracy: coincident vertices, a vertex inside an edge
-    (which every touching or overlapping pair of edges has), collinear edges
-    leaving one vertex the same way, a self-loop or a duplicate edge.
+    (which every touching or overlapping pair of edges has), or collinear
+    edges leaving one vertex the same way.
 
     Events are the drawing's points and the crossing points (homogeneous
     integers (X, Y, W), W > 0), taken in (x, y) order, a vertex before a
@@ -205,8 +205,6 @@ def plane_sweep(d: StraightLineDrawing) -> CrossingRelation | None:
     not end there has found a vertex inside that edge."""
     pts = d.points
     edges = d.graph.edges
-    if len(set(edges)) != len(edges):
-        return None
     order = sorted(range(len(pts)), key=pts.__getitem__)
     for v, w in zip(order, order[1:]):
         if pts[v] == pts[w]:
@@ -216,8 +214,6 @@ def plane_sweep(d: StraightLineDrawing) -> CrossingRelation | None:
     DX, DY, C, right = [], [], [], []
     starts: list[list[int]] = [[] for _ in pts]
     for i, (u, v) in enumerate(edges):
-        if u == v:
-            return None
         if pts[v] < pts[u]:
             u, v = v, u
         (ax, ay), (bx, by) = pts[u], pts[v]

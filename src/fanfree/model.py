@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, repeat, starmap
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import eq, floordiv, itemgetter, mul
+from operator import floordiv, itemgetter, mul
 from typing import NamedTuple
 
 SCHEMA_VERSION = 1
@@ -94,15 +94,15 @@ _set = object.__setattr__  # writes a field of a value in its __init__
 
 
 class Graph(_Value):
-    """Abstract graph on vertices 0..n-1 with indexed edges.
+    """Simple abstract graph on vertices 0..n-1 with indexed edges.
 
     Edges are stored canonically as (min, max) pairs in input order; the
     position of a pair is its stable edge index.  Isolated vertices are
     allowed.  On construction, an ``n`` that is not an int (a bool
     included) raises TypeError, as does the first edge that is not a pair
     of ints; with none, the first edge with an endpoint outside [0, n)
-    raises ValueError; self-loops and duplicate edges are representable, and
-    ``validate_graph`` reports them.
+    raises ValueError, and then so does the first violation that
+    ``validate_graph`` names: n < 1, a self-loop or a duplicate edge.
     """
 
     n: int
@@ -119,30 +119,31 @@ class Graph(_Value):
             raise ValueError(f"edge {i} = ({u}, {v}) has a vertex outside [0, {n})")
         _set(self, "n", n)
         _set(self, "edges", canon)
+        if problem := validate_graph(self):
+            raise ValueError(problem)
 
     def incident_edges(self) -> list[list[int]]:
         """Edge indices incident to each vertex."""
         inc: list[list[int]] = [[] for _ in range(self.n)]
         for i, (u, v) in enumerate(self.edges):
             inc[u].append(i)
-            if v != u:
-                inc[v].append(i)
+            inc[v].append(i)
         return inc
 
 
 def validate_graph(g: Graph) -> str | None:
-    """Return a description of the first violated invariant, or None if ok."""
+    """The first of n < 1, a self-loop or a copy of an earlier edge,
+    described, or None: one pass over the (min, max) edges."""
     if g.n < 1:
         return f"vertex count must be >= 1, got {g.n}"
-    if len(set(g.edges)) == len(g.edges) and not any(starmap(eq, g.edges)):
-        return None
     seen: set[tuple[int, int]] = set()
-    for i, (u, v) in enumerate(g.edges):
+    for i, e in enumerate(g.edges):
+        u, v = e
         if u == v:
             return f"edge {i} is a self-loop at vertex {u}"
-        if (u, v) in seen:
+        if e in seen:
             return f"edge {i} = ({u}, {v}) duplicates an earlier edge"
-        seen.add((u, v))
+        seen.add(e)
     return None
 
 
@@ -177,15 +178,27 @@ def crossing_lists(pairs) -> dict[int, tuple[int, ...]]:
 
 
 def validate_crossings(g: Graph, c: CrossingRelation) -> str | None:
-    m = len(g.edges)
-    for i, j in sorted(c.pairs):
-        if i == j:
-            return f"crossing pair ({i}, {j}) names one edge twice"
-        if not (0 <= i < m and 0 <= j < m):
-            return f"crossing pair ({i}, {j}) is outside the edge range [0, {m})"
-        if set(g.edges[i]) & set(g.edges[j]):
-            return f"crossing pair ({i}, {j}) shares a vertex (adjacent edges never cross)"
-    return None
+    """The least pair of ``c`` that names one edge twice, is outside the edge
+    range of ``g`` or joins adjacent edges, described, or None: one pass."""
+    edges = g.edges
+    m = len(edges)
+    first = None
+    for p in c.pairs:
+        i, j = p  # i <= j
+        if 0 <= i < j < m:
+            (a, b), (u, v) = edges[i], edges[j]
+            if a != u and a != v and b != u and b != v:
+                continue
+        if first is None or p < first:
+            first = p
+    if first is None:
+        return None
+    i, j = first
+    if i == j:
+        return f"crossing pair ({i}, {j}) names one edge twice"
+    if i < 0 or j >= m:
+        return f"crossing pair ({i}, {j}) is outside the edge range [0, {m})"
+    return f"crossing pair ({i}, {j}) shares a vertex (adjacent edges never cross)"
 
 
 class StraightLineDrawing(_Value):
@@ -197,13 +210,15 @@ class StraightLineDrawing(_Value):
     and incidence, so a predicate decides on ``points`` what it would on the
     coordinates; the integers grow with the bit length of ``den``.
     ``from_coords`` builds a drawing from rationals, and ``coords`` is the
-    Fraction view."""
+    Fraction view.  A ``graph`` that is not a Graph raises TypeError."""
 
     graph: Graph
     points: tuple[tuple[int, int], ...] = ()
     den: int = 1
 
     def __init__(self, graph: Graph, points: tuple[tuple[int, int], ...] = (), den: int = 1):
+        if not isinstance(graph, Graph):
+            raise TypeError(f"graph must be a Graph, got {type(graph).__name__}")
         pts = tuple(map(tuple, points))
         if len(pts) != graph.n:
             raise ValueError(f"{len(pts)} coordinate pairs for {graph.n} vertices")
@@ -269,10 +284,10 @@ class StraightLineDrawing(_Value):
 class AbstractDrawing(_Value):
     """A graph with a combinatorial crossing relation but no geometry.
 
-    Realizability of an arbitrary relation is deliberately not checked;
-    generator-produced drawings are realizable by construction and external
-    inputs are trusted modulo the stated invariants.  A part of the wrong
-    type raises TypeError naming it.
+    A part of the wrong type raises TypeError naming it, and then a relation
+    that ``validate_crossings`` faults raises ValueError with its message.
+    Realizability is deliberately not checked: generator-produced drawings
+    are realizable by construction, and external ones are taken as given.
     """
 
     graph: Graph
@@ -287,6 +302,8 @@ class AbstractDrawing(_Value):
                 f"crossings must be a CrossingRelation, got {type(crossings).__name__}")
         if not isinstance(provenance, str):
             raise TypeError(f"provenance must be a str, got {provenance!r}")
+        if problem := validate_crossings(graph, crossings):
+            raise ValueError(problem)
         _set(self, "graph", graph)
         _set(self, "crossings", crossings)
         _set(self, "provenance", provenance)
@@ -358,9 +375,9 @@ def from_json_dict(data) -> Graph | Drawing:
     """Inverse of ``to_json_dict``.  Raises InputError for a malformed
     document: not an object, no integer ``n`` or no ``edges``, a row that is
     not a list of integers of the right length (a float included), a zero
-    denominator, a vertex outside [0, n), a graph that fails
-    ``validate_graph``, both ``coords`` and ``crossings``, crossings that
-    fail ``validate_crossings``, or a provenance that is not a string.
+    denominator, both ``coords`` and ``crossings``, a provenance that is not
+    a string, or a graph or crossings that the constructors refuse (a vertex
+    outside [0, n), ``validate_graph``, ``validate_crossings``).
 
     Coordinates are read as integers: the points over the lcm of the
     denominators, which the drawing reduces, with no Fraction built."""
@@ -372,8 +389,6 @@ def from_json_dict(data) -> Graph | Drawing:
     if type(data["n"]) is not int:
         raise InputError(f"n must be an integer, got {data['n']!r}")
     g = _table(data, "edges", 2, lambda edges: Graph(data["n"], edges))
-    if problem := validate_graph(g):
-        raise InputError(problem)
     if data.get("coords") is not None:
         rows = _table(data, "coords", 4,
                       lambda rows: int_rows(rows, 4, "coordinate row {} = {!r} must be four ints"))
@@ -392,13 +407,11 @@ def from_json_dict(data) -> Graph | Drawing:
         ys = map(mul, yn, map(floordiv, repeat(den), yd))
         return StraightLineDrawing(g, tuple(zip(xs, ys)), den)
     if data.get("crossings") is not None:
-        rel = _table(data, "crossings", 2, CrossingRelation)
-        if problem := validate_crossings(g, rel):
-            raise InputError(problem)
         provenance = data.get("provenance", "external")
         if not isinstance(provenance, str):
             raise InputError(f"provenance must be a string, got {provenance!r}")
-        return AbstractDrawing(g, rel, provenance)
+        return _table(data, "crossings", 2,
+                      lambda pairs: AbstractDrawing(g, CrossingRelation(pairs), provenance))
     return g
 
 

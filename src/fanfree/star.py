@@ -35,15 +35,29 @@ from . import crossings as _cr
 
 class StarConfig(_Value):
     """An m-star and its arrows (start, exit, slot); see the module
-    docstring."""
+    docstring.  Non-int parts raise TypeError; then m < 3, an arrow out of
+    range or with an illegal exit, or bad slots on an edge, ValueError."""
 
     m: int
     arrows: tuple[tuple[int, int, int], ...] = ()
 
     def __init__(self, m: int, arrows: tuple[tuple[int, int, int], ...] = ()):
         check_ints(m=m)
+        arrows = tuple(int_rows(arrows, 3, "arrow {} = {!r} must be three ints"))
+        if m < 3:
+            raise ValueError(f"m must be >= 3, got {m}")
+        per_edge: dict[int, list[int]] = {}
+        for idx, (a, e, slot) in enumerate(arrows):
+            if not (0 <= a < m and 0 <= e < m):
+                raise ValueError(f"arrow {idx} = ({a}, {e}, {slot}) out of range")
+            if not legal_exit(m, a, e):
+                raise ValueError(f"arrow {idx} exits through edge {e} incident to its start {a}")
+            per_edge.setdefault(e, []).append(slot)
+        for e, slots in per_edge.items():
+            if sorted(slots) != list(range(len(slots))):
+                raise ValueError(f"slots on edge {e} are not a permutation of 0..{len(slots) - 1}")
         _set(self, "m", m)
-        _set(self, "arrows", tuple(int_rows(arrows, 3, "arrow {} = {!r} must be three ints")))
+        _set(self, "arrows", arrows)
 
     @classmethod
     def from_orders(cls, m: int, orders) -> StarConfig:
@@ -56,22 +70,6 @@ class StarConfig(_Value):
 
 def legal_exit(m: int, start: int, exit: int) -> bool:
     return exit not in (start % m, (start - 1) % m)
-
-
-def validate_star(s: StarConfig) -> str | None:
-    if s.m < 3:
-        return f"m must be >= 3, got {s.m}"
-    per_edge: dict[int, list[int]] = {}
-    for idx, (a, e, slot) in enumerate(s.arrows):
-        if not (0 <= a < s.m and 0 <= e < s.m):
-            return f"arrow {idx} = ({a}, {e}, {slot}) out of range"
-        if not legal_exit(s.m, a, e):
-            return f"arrow {idx} exits through edge {e} incident to its start {a}"
-        per_edge.setdefault(e, []).append(slot)
-    for e, slots in per_edge.items():
-        if sorted(slots) != list(range(len(slots))):
-            return f"slots on edge {e} are not a permutation of 0..{len(slots) - 1}"
-    return None
 
 
 def edge_order(s: StarConfig) -> dict[int, list[int]]:
@@ -109,11 +107,8 @@ def star_drawing(s: StarConfig) -> AbstractDrawing:
 
     Boundary edge j is edge j; arrow i is edge m+i, from its start to a
     fresh vertex m+i.  An arrow crosses its exit edge and every arrow its
-    endpoints interleave with.  Raises ValueError for a malformed star.
+    endpoints interleave with.
     """
-    problem = validate_star(s)
-    if problem is not None:
-        raise ValueError(problem)
     m = s.m
     keys = _arrow_keys(s)
     edges = [(j, (j + 1) % m) for j in range(m)]

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -325,7 +326,7 @@ def reference_crossings(d):
 
 def coarse_drawing(rng: random.Random) -> StraightLineDrawing:
     """Few grid points with denominators 1-3, so collinear and coincident
-    vertices are common, plus a duplicate edge or a self-loop now and then."""
+    vertices are common."""
     n = rng.randint(3, 10)
     reach = rng.randint(2, 5)
     coords = tuple(
@@ -335,11 +336,6 @@ def coarse_drawing(rng: random.Random) -> StraightLineDrawing:
     )
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = rng.sample(all_pairs, rng.randint(1, min(14, len(all_pairs))))
-    if rng.random() < 0.3:
-        edges.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
-    if rng.random() < 0.2:
-        v = rng.randrange(n)
-        edges.insert(rng.randrange(len(edges) + 1), (v, v))
     return StraightLineDrawing.from_coords(Graph(n, tuple(edges)), coords)
 
 
@@ -424,9 +420,11 @@ def test_check_then_audit_validates_a_drawing_once(monkeypatch):
 
 
 def test_duplicate_edges_are_not_adjacent_overlap():
-    d = StraightLineDrawing.from_coords(
-        Graph(3, ((0, 1), (1, 2), (0, 1))), (F(0, 0), F(2, 0), F(1, 3))
-    )
+    # a copy of an edge is refused with the graph, before any drawing of it
+    # could report the two as overlapping
+    with pytest.raises(ValueError, match=re.escape("edge 2 = (0, 1) duplicates an earlier edge")):
+        Graph(3, ((0, 1), (1, 2), (0, 1)))
+    d = StraightLineDrawing.from_coords(Graph(3, ((0, 1), (1, 2))), (F(0, 0), F(2, 0), F(1, 3)))
     assert validate_simplicity(d).ok
     assert compute_crossings(d).pairs == frozenset()
 
@@ -516,12 +514,10 @@ def test_many_denominators_match_reference():
 def assert_sweep_matches_reference(d):
     """assert_matches_reference for a drawing the plane sweep runs on, plus
     the sweep's own answer: the reference relation, or None exactly when the
-    drawing is not simple or has a self-loop or a duplicate edge."""
-    edges = d.graph.edges
-    assert len(edges) >= SWEEP_MIN_EDGES
+    drawing is not simple."""
+    assert len(d.graph.edges) >= SWEEP_MIN_EDGES
     pairs = assert_matches_reference(d)
-    clean = len(set(edges)) == len(edges) and all(u != v for u, v in edges)
-    if pairs is None or not validate_simplicity(d).ok or not clean:
+    if pairs is None or not validate_simplicity(d).ok:
         assert plane_sweep(d) is None
     else:
         assert plane_sweep(d).pairs == pairs
@@ -613,24 +609,23 @@ def test_non_simple_drawings_above_the_threshold_keep_report_and_pair():
         # an edge along the first one, from its end beyond its midpoint
         (n + 1, edges + ((edges[0][0], n),), coords + [((ax + 3 * bx) / 4, (ay + 3 * by) / 4)]),
     ]
-    # three more that the sweep gives up on before it starts: a copy of the
-    # first edge and a self-loop, both simple to the box path, and an edge
-    # that leaves the first edge's smaller (x, y) end the same way it does,
-    # to a new vertex 3/4 of the way along it
+    # one more that the sweep gives up on before it starts: an edge that
+    # leaves the first edge's smaller (x, y) end the same way it does, to a
+    # new vertex 3/4 of the way along it
     s, t = sorted(edges[0], key=coords.__getitem__)
     (sx, sy), (tx, ty) = coords[s], coords[t]
-    variants += [
-        (n, edges + (edges[0],), coords),
-        (n, edges + ((0, 0),), coords),
-        (n + 1, edges + ((s, n),), coords + [((sx + 3 * tx) / 4, (sy + 3 * ty) / 4)]),
-    ]
+    variants.append(
+        (n + 1, edges + ((s, n),), coords + [((sx + 3 * tx) / 4, (sy + 3 * ty) / 4)]))
     for n2, edges2, coords2 in variants:
         bad = StraightLineDrawing.from_coords(Graph(n2, tuple(edges2)), tuple(coords2))
         assert_sweep_matches_reference(bad)
-        # the box path calls a drawing simple exactly when a copy or a loop
-        # is all that is wrong with it
-        copy_or_loop = len(set(edges2)) < len(edges2) or (0, 0) in edges2
-        assert validate_simplicity(bad).ok == copy_or_loop and plane_sweep(bad) is None
+        assert not validate_simplicity(bad).ok and plane_sweep(bad) is None
+    # a copy of the first edge and a self-loop are no drawing's: the graph
+    # refuses them
+    for edges2, fault in ((edges + (edges[0],), "duplicates an earlier edge"),
+                          (edges + ((0, 0),), "self-loop")):
+        with pytest.raises(ValueError, match=fault):
+            Graph(n, edges2)
 
 
 def test_one_plane_sweep_per_drawing_and_none_below_the_threshold(monkeypatch):

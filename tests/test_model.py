@@ -26,18 +26,18 @@ def test_triangle_is_valid():
 
 
 def test_duplicate_edge_rejected():
-    msg = validate_graph(Graph(2, ((0, 1), (0, 1))))
-    assert msg is not None and "duplicate" in msg
+    with pytest.raises(ValueError, match=re.escape("edge 1 = (0, 1) duplicates an earlier edge")):
+        Graph(2, ((0, 1), (0, 1)))
 
 
 def test_duplicate_detected_after_canonicalization():
-    msg = validate_graph(Graph(2, ((0, 1), (1, 0))))
-    assert msg is not None and "duplicate" in msg
+    with pytest.raises(ValueError, match=re.escape("edge 1 = (0, 1) duplicates an earlier edge")):
+        Graph(2, ((0, 1), (1, 0)))
 
 
 def test_self_loop_rejected():
-    msg = validate_graph(Graph(4, ((3, 3),)))
-    assert msg is not None and "self-loop" in msg
+    with pytest.raises(ValueError, match="edge 0 is a self-loop at vertex 3"):
+        Graph(4, ((3, 3),))
 
 
 def test_out_of_range_rejected():
@@ -143,8 +143,10 @@ def test_canonicalization_idempotent():
     rng = random.Random(7)
     for _ in range(50):
         n = rng.randint(2, 9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = tuple(
-            (rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))
+            e if rng.random() < 0.5 else e[::-1]
+            for e in rng.sample(pairs, rng.randint(0, min(12, len(pairs))))
         )
         g = Graph(n, edges)
         assert Graph(g.n, g.edges).edges == g.edges
@@ -158,6 +160,35 @@ def test_crossing_relation_canonical_and_validated():
     assert validate_crossings(g, c) is None
     adjacent = CrossingRelation(frozenset({(0, 2)}))  # edges share vertex 0
     assert "adjacent" in validate_crossings(g, adjacent)
+    with pytest.raises(ValueError, match=re.escape(validate_crossings(g, adjacent))):
+        AbstractDrawing(g, adjacent)
+
+
+def test_value_types_refuse_invalid_states_when_built():
+    # the bounds count the edges of a simple graph whose crossing pairs join
+    # disjoint edges, so no Graph or AbstractDrawing holds another state: a
+    # doubled edge would show find_k_fans fake fans, and a pair beyond the
+    # edges would make it index past them
+    for n, edges, message in (
+        (4, ((0, 1), (0, 1), (2, 3)), "edge 1 = (0, 1) duplicates an earlier edge"),
+        (2, ((0, 1), (1, 0)), "edge 1 = (0, 1) duplicates an earlier edge"),
+        (4, ((0, 1), (2, 2)), "edge 1 is a self-loop at vertex 2"),
+        (0, (), "vertex count must be >= 1, got 0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph(n, edges)
+    g = Graph(4, ((0, 1), (2, 3), (1, 2)))
+    for pairs, message in (
+        ([(0, 5)], "crossing pair (0, 5) is outside the edge range [0, 3)"),
+        ([(-1, 1)], "crossing pair (-1, 1) is outside the edge range [0, 3)"),
+        ([(1, 1)], "crossing pair (1, 1) names one edge twice"),
+        ([(0, 1), (2, 0)], "crossing pair (0, 2) shares a vertex (adjacent edges never cross)"),
+        # the least bad pair is named
+        ([(1, 2), (0, 2), (2, 2)], "crossing pair (0, 2) shares a vertex"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AbstractDrawing(g, CrossingRelation(pairs))
+    assert AbstractDrawing(g, CrossingRelation([(0, 1)])).crossings.pairs == {(0, 1)}
 
 
 def _value_examples():
@@ -248,6 +279,9 @@ def test_abstract_drawing_rejects_parts_of_the_wrong_type():
         AbstractDrawing(Graph(2), [(0, 1)])
     with pytest.raises(TypeError, match="provenance must be a str, got 5"):
         AbstractDrawing(g, rel, 5)
+    # a StraightLineDrawing names a graph of the wrong type the same way
+    with pytest.raises(TypeError, match="graph must be a Graph, got tuple"):
+        StraightLineDrawing((2, ()), ())
     # the loader names a bad provenance itself, before it builds the drawing
     with pytest.raises(InputError, match="provenance must be a string, got 5"):
         from_json_dict({"n": 2, "edges": [[0, 1]], "crossings": [], "provenance": 5})

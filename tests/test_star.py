@@ -21,7 +21,6 @@ from fanfree.star import (
     rotate_star,
     star_drawing,
     sub_star,
-    validate_star,
     verify_base_cases,
     _fit_kernel,
 )
@@ -101,30 +100,31 @@ def test_hexagon_far_arrows_do_not_cross():
     assert not star_drawing(s).crossings.crosses(6, 7)
 
 
-def test_validate_star_rejects_incident_exit():
-    assert validate_star(StarConfig(4, ((0, 0, 0),))) is not None
-    assert validate_star(StarConfig(4, ((0, 3, 0),))) is not None
-    assert validate_star(StarConfig(4, ((0, 1, 0), (1, 2, 0)))) is None
+def test_star_config_rejects_incident_exit():
+    for exit in (0, 3):  # the two edges at v_0
+        with pytest.raises(ValueError, match=f"edge {exit} incident to its start 0"):
+            StarConfig(4, ((0, exit, 0),))
+    assert StarConfig(4, ((0, 1, 0), (1, 2, 0))).arrows == ((0, 1, 0), (1, 2, 0))
 
 
-def test_validate_star_rejects_bad_slots():
-    assert validate_star(StarConfig(4, ((0, 1, 1),))) is not None
+def test_star_config_rejects_bad_slots():
+    message = "slots on edge 1 are not a permutation of 0..0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        StarConfig(4, ((0, 1, 1),))
 
 
 def test_malformed_stars_are_rejected():
-    for s in (
-        StarConfig(4, ((0, 0, 0),)),  # exit edge at its own start
-        StarConfig(4, ((0, 0, 0), (0, 0, 1))),
-        StarConfig(4, ((0, 1, 1),)),  # slots skip 0
-        StarConfig(2),  # fewer than three vertices
-        StarConfig(4, ((0, 1, 0), (4, 1, 1))),  # a start outside the polygon
-        StarConfig(4, ((0, -1, 0),)),  # an exit edge below 0
+    # refused when built, so that no star drawing can be made of them
+    for m, arrows, message in (
+        (4, ((0, 0, 0),), "arrow 0 exits through edge 0 incident to its start 0"),
+        (4, ((0, 0, 0), (0, 0, 1)), "arrow 0 exits through edge 0 incident to its start 0"),
+        (4, ((0, 1, 1),), "slots on edge 1 are not a permutation of 0..0"),  # slots skip 0
+        (2, (), "m must be >= 3, got 2"),  # fewer than three vertices
+        (4, ((0, 1, 0), (4, 1, 1)), "arrow 1 = (4, 1, 1) out of range"),  # a start outside
+        (4, ((0, -1, 0),), "arrow 0 = (0, -1, 0) out of range"),  # an exit edge below 0
     ):
-        message = re.escape(validate_star(s))
-        with pytest.raises(ValueError, match=message):
-            star_drawing(s)
-        with pytest.raises(ValueError, match=message):
-            is_k_fan_free(star_drawing(s), 2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StarConfig(m, arrows)
 
 
 # -- fan-freeness ------------------------------------------------------------
@@ -486,7 +486,6 @@ def test_witness_configs_are_fan_free_and_match_class():
     res = max_arrows(4, 3, vertex_class=(2, 0, 2))
     assert res.maximum == 4
     for cfg in res.configs:
-        assert validate_star(cfg) is None
         assert is_k_fan_free(star_drawing(cfg), 3)
         assert classify_vertices(cfg).counts == (2, 0, 2)
 
