@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .model import CrossingRelation, FanWitness, Graph, StraightLineDrawing, check_ints
+from .model import validate_crossings
 
 
 # Drawings with this many edges or more take ``plane_sweep`` first.  Below it
@@ -320,7 +321,9 @@ def find_k_fans(g: Graph, c: CrossingRelation, k: int) -> list[FanWitness]:
     plus the crosser, which the key gives back), and a list is made only
     at its second edge: on a fan-free drawing few keys, and at k = 2 none,
     get a second edge, so the pass costs what a count per key would.  A
-    ``k`` that is not an int (a bool included) raises TypeError."""
+    ``k`` that is not an int (a bool included) raises TypeError, and the
+    pass raises ValueError with ``validate_crossings``' message for a
+    relation that is not one of ``g``."""
     if type(k) is not int or k < 2:
         check_ints(k=k)
         raise ValueError(f"k must be >= 2, got {k}")
@@ -328,27 +331,31 @@ def find_k_fans(g: Graph, c: CrossingRelation, k: int) -> list[FanWitness]:
     buckets: dict[int, int | list[int]] = {}
     get = buckets.get
     hot = []  # the keys whose bucket reached k
-    for i, j in c.pairs:
-        s = i + j
-        (a, b), (u, v) = edges[i], edges[j]
-        for key in (i * n + u, i * n + v, j * n + a, j * n + b):
-            crossed = get(key)
-            if crossed is None:
-                buckets[key] = s
-                continue
-            crosser = key // n
-            if crossed.__class__ is int:
-                crossed = buckets[key] = [crossed - crosser]
-            crossed.append(s - crosser)
-            if len(crossed) == k:
-                hot.append(key)
+    try:
+        for i, j in c.pairs:  # i <= j
+            s = i + j
+            (a, b), (u, v) = edges[i], edges[j]
+            if i < 0 or a == u or a == v or b == u or b == v:
+                raise ValueError(validate_crossings(g, c))
+            for key in (i * n + u, i * n + v, j * n + a, j * n + b):
+                crossed = get(key)
+                if crossed is None:
+                    buckets[key] = s
+                    continue
+                crosser = key // n
+                if crossed.__class__ is int:
+                    crossed = buckets[key] = [crossed - crosser]
+                crossed.append(s - crosser)
+                if len(crossed) == k:
+                    hot.append(key)
+    except IndexError:  # j is past the last edge
+        raise ValueError(validate_crossings(g, c)) from None
     # tuple.__new__ builds each FanWitness without the generated __new__,
     # a Python call that is about a third of the cost of a witness
     new = tuple.__new__
     witnesses = []
     for key in sorted(hot):
         crosser, apex = divmod(key, n)
-        assert apex not in edges[crosser], "crosser incident to its own apex"
         crossed = buckets[key]
         crossed.sort()
         witnesses.append(new(FanWitness, (crosser, apex, tuple(crossed[:k]))))

@@ -15,7 +15,8 @@ system inserts each dart by the sign of one cross product, the face walks
 follow one successor map and sum their areas as they go, an arrow's first
 hit is found by cross-multiplication, and H's components are found once.
 The records built per walk, face, face set, arrow and audit are immutable
-NamedTuples.  ``trace_faces`` is the one face kernel: it rejects an H with a
+NamedTuples, built with ``tuple.__new__`` as ``find_k_fans`` builds its
+witnesses.  ``trace_faces`` is the one face kernel: it rejects an H with a
 crossing pair, then traces the faces.  ``audit`` calls it once on the greedy
 H, which always passes that check.
 """
@@ -40,17 +41,20 @@ def maximal_plane_subgraph(
     g: Graph, c: CrossingRelation
 ) -> tuple[list[int], list[int]]:
     """Greedy crossing-free edge set H (ascending edge index) and the
-    excluded set K.  H is maximal: every excluded edge crosses some H edge."""
-    in_h = [False] * len(g.edges)
+    excluded set K: edge i joins H iff no H edge of lower index crosses it,
+    so each edge taken blocks its crossing partners and an edge blocked on
+    its turn is excluded.  H is maximal: each excluded edge crosses one."""
+    blocked = set()
     chosen: list[int] = []
     excluded: list[int] = []
     adjacency = c.adjacency
     for i in range(len(g.edges)):
-        if i in adjacency and any(in_h[j] for j in adjacency[i]):
+        if i in blocked:
             excluded.append(i)
         else:
             chosen.append(i)
-            in_h[i] = True
+            if i in adjacency:
+                blocked.update(adjacency[i])
     return chosen, excluded
 
 
@@ -115,7 +119,8 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
     """Faces of the plane subgraph: rotation-system walks grouped into
     faces by exact containment.  The drawing must be simple (reading
     ``d.crossings`` raises otherwise).  Fails loudly if a crossing pair has
-    both edges in H."""
+    both edges in H.  The successor map holds each dart's next dart tuple,
+    so a walk step builds no tuple."""
     in_h = set(h_edges)
     if any(i in in_h and j in in_h for i, j in d.crossings.pairs):
         raise ValueError("trace_faces requires a crossing-free edge set")
@@ -127,28 +132,27 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
     succ = {}
     for v, ring in enumerate(rot):
         for at, (u, _dx, _dy, area) in enumerate(ring):
-            succ[u, v] = ring[at - 1][0], area
+            succ[u, v] = (v, ring[at - 1][0]), area
 
+    new = tuple.__new__
     outer_walks: list[tuple[tuple[int, int], Walk]] = []  # (least dart, walk)
     hole_walks: list[tuple[tuple[int, int], Walk]] = []
     for i in h_edges:
         u, v = g.edges[i]
-        for start in ((u, v), (v, u)):
-            if start not in succ:
+        for dart in ((u, v), (v, u)):
+            step = succ.pop(dart, None)
+            if step is None:
                 continue
             darts = []
             area2 = 0
-            a, b = start
-            step = succ.pop(start)
             while step is not None:
-                darts.append((a, b))
-                w, area = step
+                darts.append(dart)
+                dart, area = step
                 area2 += area
-                a, b = b, w
-                step = succ.pop((a, b), None)
+                step = succ.pop(dart, None)
             darts = tuple(darts)
             (outer_walks if area2 > 0 else hole_walks).append(
-                (min(darts), Walk(darts, area2)))
+                (min(darts), new(Walk, (darts, area2))))
 
     isolated = [v for v in range(g.n) if not rot[v]]
     comp = _component_ids(g, h_edges)
@@ -204,26 +208,30 @@ def trace_faces(d: StraightLineDrawing, h_edges: list[int]) -> FaceSet:
         for w in chains:
             complexity += len(w.darts)
             dart_face.update(dict.fromkeys(w.darts, fid))
-        faces.append(Face(fid, outer is not None, outer, holes, iso, complexity,
-                          len(chains) + len(iso)))
-    return FaceSet(tuple(faces), dart_face, len(set(comp)))
+        faces.append(new(Face, (fid, outer is not None, outer, holes, iso, complexity,
+                                len(chains) + len(iso))))
+    return new(FaceSet, (tuple(faces), dart_face, len(set(comp))))
 
 
 def _component_ids(g: Graph, h_edges: list[int]) -> list[int]:
+    """The least vertex of each vertex's component of H, by union-find on
+    the H edges (never from the face walks) with path halving inline.  A
+    union points the larger root at the smaller: parent[x] <= x always, so
+    one ascending pass leaves every parent a root."""
     parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    edges = g.edges
     for i in h_edges:
-        u, v = g.edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return [find(v) for v in range(g.n)]
+        u, v = edges[i]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u < v:
+            u, v = v, u
+        parent[u] = v
+    for x in range(g.n):
+        parent[x] = parent[parent[x]]
+    return parent
 
 
 def component_count(g: Graph, h_edges: list[int]) -> int:
@@ -274,6 +282,7 @@ def arrowize(
     pts = d.points
     dart_face = faceset.dart_face
     in_h = set(h_edges)
+    new = tuple.__new__
     records = []
     for ke in k_edges:
         u, w = edges[ke]
@@ -296,7 +305,7 @@ def arrowize(
                     best, best_num, best_den, best_left = h, num, den, s_left
             a, b = edges[best]
             face = dart_face[(a, b) if best_left else (b, a)]
-            records.append(ArrowRecord(ke, s, face, best, Fraction(best_num, best_den)))
+            records.append(new(ArrowRecord, (ke, s, face, best, Fraction(best_num, best_den))))
     return records
 
 
@@ -368,8 +377,12 @@ def audit(d: StraightLineDrawing, k: int = 2) -> DecompositionReport:
     per_face: dict[int, int] = {}
     for rec in arrows:
         per_face[rec.face] = per_face.get(rec.face, 0) + 1
+    new = tuple.__new__
     audits = []
+    sum_m = sum_p = 0
     for f in faceset.faces:
+        sum_m += f.complexity
+        sum_p += f.chains - 1
         a_f = per_face.get(f.id, 0)
         bound = face_arrow_bound(f.complexity, f.chains, k)
         passed = a_f <= bound
@@ -377,12 +390,10 @@ def audit(d: StraightLineDrawing, k: int = 2) -> DecompositionReport:
             falsifications.append(
                 f"face {f.id} has {a_f} arrows, above its bound {bound}"
             )
-        audits.append(FaceAudit(f.id, f.complexity, f.chains, a_f, k, bound, passed))
+        audits.append(new(FaceAudit, (f.id, f.complexity, f.chains, a_f, k, bound, passed)))
 
     comps = faceset.components
     r = len(faceset.faces)
-    sum_m = sum(f.complexity for f in faceset.faces)
-    sum_p = sum(f.chains - 1 for f in faceset.faces)
     sum_m_ok = sum_m == 2 * len(h_edges)
     sum_p_ok = sum_p == comps - 1
     euler_ok = g.n - len(h_edges) + r == 1 + comps

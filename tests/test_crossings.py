@@ -14,7 +14,14 @@ from fanfree.crossings import (
     plane_sweep,
     validate_simplicity,
 )
-from fanfree.model import FanWitness, Graph, StraightLineDrawing, crossing_lists
+from fanfree.model import (
+    CrossingRelation,
+    FanWitness,
+    Graph,
+    StraightLineDrawing,
+    crossing_lists,
+    validate_crossings,
+)
 from fanfree.repro import naive_fan_oracle, random_drawing
 
 from conftest import F, big_affine, random_star
@@ -59,6 +66,28 @@ def test_k6_extremal_layout_is_fan_crossing_free():
     from fanfree.constructions import gen_straight_extremal
 
     assert is_k_fan_free(gen_straight_extremal(6), 2)
+
+
+def test_find_k_fans_rejects_a_relation_of_another_graph():
+    """A pair of adjacent edges, one past the last edge or one with a
+    negative index raises ValueError with ``validate_crossings``' message;
+    none depends on an ``assert``, which ``python -O`` removes.  The first
+    relation gave the fake witness FanWitness(0, 1, (1, 2)), the second an
+    IndexError and the third an AssertionError."""
+    cases = [
+        (Graph(6, ((0, 5), (0, 1), (1, 2))), {(0, 1), (0, 2)},
+         "crossing pair (0, 1) shares a vertex"),
+        (Graph(3, ((0, 1),)), {(0, 5)}, "crossing pair (0, 5) is outside the edge range [0, 1)"),
+        (Graph(4, ((0, 1), (0, 2), (0, 3))), {(0, 1), (0, 2)},
+         "crossing pair (0, 1) shares a vertex"),
+        (Graph(4, ((0, 1), (2, 3))), {(-1, 0)}, "crossing pair (-1, 0) is outside the edge range"),
+    ]
+    for g, pairs, message in cases:
+        c = CrossingRelation(pairs)
+        assert validate_crossings(g, c).startswith(message)
+        for k in (2, 3):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                find_k_fans(g, c, k)
 
 
 def test_k_below_two_rejected(fan_fixture):

@@ -9,7 +9,12 @@ from math import gcd
 import pytest
 
 from fanfree.bounds import check_graph_against_bounds
-from fanfree.crossings import SimplicityError, compute_crossings, validate_simplicity
+from fanfree.crossings import (
+    SimplicityError,
+    compute_crossings,
+    find_k_fans,
+    validate_simplicity,
+)
 from fanfree.constructions import (
     gen_grid,
     gen_kq_subdivision,
@@ -18,6 +23,11 @@ from fanfree.constructions import (
     gen_tri_plus_dual,
 )
 from fanfree.decompose import (
+    ArrowRecord,
+    Face,
+    FaceAudit,
+    FaceSet,
+    Walk,
     _rotation,
     arrowize,
     audit,
@@ -64,13 +74,28 @@ def test_greedy_on_quad_extremal_n8():
 
 
 def test_greedy_is_maximal():
+    """H has no crossing pair, every excluded edge crosses an H edge, and H
+    is the greedy set: edge i joins H iff no H edge of lower index crosses
+    it, checked against a reference greedy here.  ``random_drawing`` gives
+    relations with fans too, where edges cross many others."""
     rng = random.Random(11)
-    for _ in range(30):
-        d = random_fan_free_drawing(rng)
-        c = compute_crossings(d)
-        h, k = maximal_plane_subgraph(d.graph, c)
-        for e in k:
-            assert any(c.crosses(e, x) for x in h)
+    with_fans = 0
+    for make in (random_fan_free_drawing, lambda rng: random_drawing(rng, max_edges=40)):
+        for _ in range(30):
+            d = make(rng)
+            c = compute_crossings(d)
+            h, k = maximal_plane_subgraph(d.graph, c)
+            greedy = []
+            for i in range(len(d.graph.edges)):
+                if not any(c.crosses(i, j) for j in greedy):
+                    greedy.append(i)
+            assert h == greedy
+            assert k == sorted(set(range(len(d.graph.edges))) - set(greedy))
+            assert not any(c.crosses(i, j) for i in h for j in h)
+            for e in k:
+                assert any(c.crosses(e, x) for x in h)
+            with_fans += bool(find_k_fans(d.graph, c, 2))
+    assert with_fans >= 10
 
 
 def test_trace_faces_triangle(triangle):
@@ -403,6 +428,19 @@ def test_audit_records_are_immutable():
                 setattr(rec, field, None)
         with pytest.raises(AttributeError):
             rec.extra = None
+
+
+def test_positionally_built_records_keep_their_field_order():
+    """``trace_faces``, ``arrowize`` and ``audit`` build these records by
+    position with ``tuple.__new__``, so a reordered or inserted field would
+    put values under the wrong names without an error."""
+    assert Walk._fields == ("darts", "area2")
+    assert Face._fields == (
+        "id", "bounded", "outer", "holes", "isolated", "complexity", "chains")
+    assert FaceSet._fields == ("faces", "dart_face", "components")
+    assert ArrowRecord._fields == ("edge", "start", "face", "first_hit", "t")
+    assert FaceAudit._fields == (
+        "face", "complexity", "chains", "arrows", "k", "bound", "passed")
 
 
 def _bounds_limit(d, k) -> int:
